@@ -62,12 +62,8 @@ from .words import (
     MorphicRep,
     NotProlongableError,
     Word,
-    apply_coding,
-    apply_morphism,
-    factor,
-    fixed_point_prefix,
+    first_mismatch,
     format_word,
-    morphism_power,
     parse_word,
     prune_unreachable,
 )
@@ -98,8 +94,6 @@ __all__ = [
     "SearchTooLargeError",
     "Violation",
     "Word",
-    "apply_coding",
-    "apply_morphism",
     "arith_prefix",
     "block_encode",
     "canonical_form",
@@ -109,14 +103,12 @@ __all__ = [
     "equalize",
     "estimate_eigenvalue",
     "even_prefix",
-    "factor",
     "find_initial_safe_pair",
-    "fixed_point_prefix",
+    "first_mismatch",
     "format_word",
     "incidence_matrix",
     "is_primitive",
     "is_safe_pair",
-    "morphism_power",
     "odd_length_power",
     "odd_prefix",
     "parikh_vector",

@@ -28,7 +28,11 @@ from .proofdoc import check_proof, render_latex, render_text
 from .prover import ProveFailure, ProverConfig, prove_basic, prove_general
 from .repsearch import SearchSpec, search
 from .subseq import block_encode, odd_length_power
-from .words import MorphicRep, NotProlongableError, format_word
+from .words import MorphicRep, NotProlongableError, first_mismatch, format_word
+
+# Longest prefix verify-prefix compares.  Expansion keeps one byte per symbol
+# and side, so this bounds its memory (about 210 MB at the limit).
+MAX_PREFIX = 10**8
 
 
 def _read(path: str) -> str:
@@ -74,15 +78,18 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_verify_prefix(args) -> int:
-    problem = parse_problem(_read(args.file))
     n = args.n
-    left = MorphicRep(problem.f, problem.tau).prefix(n)
-    right = MorphicRep(problem.g, problem.rho).prefix(n)
-    if left == right:
+    if n > MAX_PREFIX:
+        raise ValueError(f"--n is {n}; at most {MAX_PREFIX} symbols can be compared")
+    problem = parse_problem(_read(args.file))
+    left = MorphicRep(problem.f, problem.tau)
+    right = MorphicRep(problem.g, problem.rho)
+    mismatch = first_mismatch(left, right, n)
+    if mismatch is None:
         print(f"equal on the first {n} symbols")
         return 0
-    pos = next(i for i in range(n) if left[i] != right[i])
-    print(f"first mismatch at position {pos}: {left[pos]} != {right[pos]}")
+    pos, a, b = mismatch
+    print(f"first mismatch at position {pos}: {a} != {b}")
     return 1
 
 
@@ -166,7 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify-prefix", help="compare coded prefixes of both sides")
     verify.add_argument("file", help="problem file")
-    verify.add_argument("--n", type=int, default=10000, help="prefix length to compare")
+    verify.add_argument(
+        "--n", type=int, default=10000, help=f"prefix length to compare, at most {MAX_PREFIX}"
+    )
     verify.set_defaults(func=_cmd_verify_prefix)
 
     subseq = sub.add_parser("subseq", help="subsequence prefixes and block encodings")

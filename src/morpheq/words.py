@@ -6,13 +6,32 @@ each symbol to a single symbol of a target alphabet.  A morphism f that is
 prolongable at a (f(a) starts with a and is longer than one symbol) has a
 unique infinite fixed point f^oo(a), exposed here as FixedPoint: a buffer
 that grows by applying f to the part of the sequence already known.
+
+FixedPoint and MorphicRep keep expanded sequences as bytes, one byte per
+symbol, so both need alphabets of at most 256 symbols (ALPHABET_LIMIT): the
+morphism's alphabet, and the coding's target alphabet.  Larger ones raise
+AlphabetError.  Their public results are still words (tuples of ints).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 Word = tuple[int, ...]
+
+# Largest alphabet a byte buffer can hold.
+ALPHABET_LIMIT = 256
+# Most bytes one extension step of a FixedPoint appends (or one image, if
+# longer), and the length of the pieces first_mismatch compares: larger
+# chunks build larger transient lists of image references for little gain.
+CHUNK = 1 << 16
+# Once asked for more symbols than this, a FixedPoint expands with the
+# power f^(2^j) of largest j whose images take at most this many bytes in
+# all: each consumed symbol then appends a long image, so far fewer symbols
+# pass through Python code.  Steps also append up to this many bytes when
+# fewer are asked for, so that symbol-by-symbol reads are served in batches.
+POWER_BYTES = 1 << 8
 
 
 class AlphabetError(ValueError):
@@ -23,8 +42,11 @@ class NotProlongableError(ValueError):
     """The morphism has no infinite fixed point at the requested symbol."""
 
 
-def word(symbols) -> Word:
-    return tuple(symbols)
+def _check_byte_alphabet(size: int, what: str) -> None:
+    if size > ALPHABET_LIMIT:
+        raise AlphabetError(
+            f"{what} has {size} symbols; expanded sequences hold at most {ALPHABET_LIMIT}"
+        )
 
 
 def parse_word(text: str) -> Word:
@@ -138,40 +160,92 @@ class Coding:
         return tuple(table[s] for s in w)
 
 
+def _closure(f: Morphism, symbols) -> set[int]:
+    """The symbols occurring in f^k(w) for some k >= 0, w any of the given symbols."""
+    reached = set(symbols)
+    frontier = list(reached)
+    while frontier:
+        for s in f.images[frontier.pop()]:
+            if s not in reached:
+                reached.add(s)
+                frontier.append(s)
+    return reached
+
+
+def _power_images(images: tuple[bytes, ...]) -> tuple[bytes, ...]:
+    """Images of f^(2^j), for the largest j keeping them within POWER_BYTES.
+
+    The images are those of f; f must be prolongable at some symbol, so
+    that the total length grows with j.
+    """
+    while True:
+        counts = Counter(b"".join(images))
+        if sum(len(images[s]) * c for s, c in counts.items()) > POWER_BYTES:
+            return images
+        images = tuple(b"".join([images[s] for s in im]) for im in images)
+
+
 class FixedPoint:
     """Prefix of the infinite fixed point f^oo(a), extended on demand.
 
     The buffer is grown by the standard trick: the fixed point equals
     f(s_0) f(s_1) f(s_2) ... over its own symbols s_i, so appending the
-    image of the next not-yet-consumed buffer symbol extends the known
+    images of the next not-yet-consumed buffer symbols extends the known
     prefix.  Prolongability guarantees the consumer never catches up.
+    The buffer is a bytearray.  f^oo(a) is also the fixed point of every
+    power of f, so long expansions use a power (see POWER_BYTES).
     """
 
     def __init__(self, morphism: Morphism, start: int = 0):
+        _check_byte_alphabet(morphism.alphabet_size, "morphism alphabet")
         if not morphism.is_prolongable(start):
             raise NotProlongableError(
                 f"image of {start} must start with {start} and have length >= 2"
             )
         self.morphism = morphism
         self.start = start
-        self._buf: list[int] = list(morphism.images[start])
+        self._images = tuple(bytes(im) for im in morphism.images)
+        self._powered = False
+        # Only symbols after position 0 are ever consumed.
+        self._consumed = _closure(morphism, morphism.images[start][1:])
+        self._restart()
+
+    def _restart(self) -> None:
+        self._longest = max(len(self._images[s]) for s in self._consumed)
+        self._buf = bytearray(self._images[self.start])
         self._next = 1
 
     def __len__(self) -> int:
         return len(self._buf)
 
     def extend_to(self, n: int) -> None:
+        if len(self._buf) >= n:
+            return
+        if n > POWER_BYTES and not self._powered:
+            self._images = _power_images(self._images)
+            self._powered = True
+            self._restart()
         buf = self._buf
-        images = self.morphism.images
+        images = self._images
+        longest = self._longest
         while len(buf) < n:
-            buf.extend(images[buf[self._next]])
-            self._next += 1
+            # A step appends at most `want` bytes or one image; every consumed
+            # symbol appends at least one, so the consumer never catches up.
+            start = self._next
+            want = min(max(n - len(buf), POWER_BYTES), CHUNK)
+            stop = min(len(buf), start + max(1, want // longest))
+            buf += b"".join([images[s] for s in buf[start:stop]])
+            self._next = stop
+
+    def _bytes(self, k: int, m: int) -> bytearray:
+        """Positions k..m-1 as raw symbols; callers validate the range."""
+        self.extend_to(m)
+        return self._buf[k:m]
 
     def prefix(self, n: int) -> Word:
         if n < 0:
             raise ValueError("prefix length must be non-negative")
-        self.extend_to(n)
-        return tuple(self._buf[:n])
+        return tuple(self._bytes(0, n))
 
     def at(self, i: int) -> int:
         if i < 0:
@@ -183,8 +257,7 @@ class FixedPoint:
         """The factor at positions k..m-1 of the fixed point."""
         if not 0 <= k <= m:
             raise ValueError(f"invalid range [{k}, {m})")
-        self.extend_to(m)
-        return tuple(self._buf[k:m])
+        return tuple(self._bytes(k, m))
 
 
 @dataclass(frozen=True)
@@ -196,6 +269,8 @@ class MorphicRep:
     start: int = 0
 
     def __post_init__(self):
+        _check_byte_alphabet(self.morphism.alphabet_size, "morphism alphabet")
+        _check_byte_alphabet(self.coding.target_size, "coding target alphabet")
         if self.coding.source_size != self.morphism.alphabet_size:
             raise AlphabetError(
                 f"coding covers {self.coding.source_size} symbols, "
@@ -213,25 +288,37 @@ class MorphicRep:
     def fixed_point(self) -> FixedPoint:
         return FixedPoint(self.morphism, self.start)
 
+    def _table(self) -> bytes:
+        """The coding as a bytes.translate table."""
+        table = self.coding.table
+        return bytes(table) + bytes(ALPHABET_LIMIT - len(table))
+
     def prefix(self, n: int) -> Word:
         """First n symbols of the coded sequence."""
-        return self.coding.apply(self.fixed_point().prefix(n))
+        if n < 0:
+            raise ValueError("prefix length must be non-negative")
+        return tuple(self.fixed_point()._bytes(0, n).translate(self._table()))
 
 
-def apply_morphism(f: Morphism, w: Word) -> Word:
-    return f.apply(w)
+def first_mismatch(left: MorphicRep, right: MorphicRep, n: int) -> tuple[int, int, int] | None:
+    """First position below n where two coded sequences differ, or None.
 
-
-def morphism_power(f: Morphism, k: int) -> Morphism:
-    return f.power(k)
-
-
-def apply_coding(c: Coding, w: Word) -> Word:
-    return c.apply(w)
-
-
-def fixed_point_prefix(f: Morphism, a: int, n: int) -> Word:
-    return FixedPoint(f, a).prefix(n)
+    Returns the position and the two coded symbols there.  Both fixed
+    points are expanded, coded and compared a chunk at a time, so unequal
+    sequences stop expanding at the first chunk that differs.
+    """
+    if n < 0:
+        raise ValueError("prefix length must be non-negative")
+    left_fp, right_fp = left.fixed_point(), right.fixed_point()
+    left_table, right_table = left._table(), right._table()
+    for k in range(0, n, CHUNK):
+        m = min(n, k + CHUNK)
+        a = left_fp._bytes(k, m).translate(left_table)
+        b = right_fp._bytes(k, m).translate(right_table)
+        if a != b:
+            i = next(i for i in range(m - k) if a[i] != b[i])
+            return k + i, a[i], b[i]
+    return None
 
 
 def prune_unreachable(f: Morphism, coding: Coding, a: int) -> tuple[Morphism, Coding, int]:
@@ -245,20 +332,8 @@ def prune_unreachable(f: Morphism, coding: Coding, a: int) -> tuple[Morphism, Co
         raise AlphabetError("coding and morphism disagree on alphabet size")
     if not 0 <= a < f.alphabet_size:
         raise AlphabetError(f"symbol {a} outside alphabet")
-    reachable = {a}
-    frontier = [a]
-    while frontier:
-        b = frontier.pop()
-        for s in f.images[b]:
-            if s not in reachable:
-                reachable.add(s)
-                frontier.append(s)
-    kept = sorted(reachable)
+    kept = sorted(_closure(f, (a,)))
     rename = {old: new for new, old in enumerate(kept)}
     images = tuple(tuple(rename[s] for s in f.images[old]) for old in kept)
     table = tuple(coding.table[old] for old in kept)
     return Morphism(images), Coding(table, coding.target_size), rename[a]
-
-
-def factor(s: FixedPoint, k: int, m: int) -> Word:
-    return s.factor(k, m)

@@ -5,7 +5,8 @@ import subprocess
 
 import pytest
 
-from morpheq.cli import main
+from morpheq.cli import MAX_PREFIX, main
+from morpheq.words import CHUNK
 
 from conftest import FIXTURES
 
@@ -114,6 +115,31 @@ class TestVerifyPrefix:
         unequal.write_text("2\n01\n0\n01\n2\n01\n1\n01\n")
         assert main(["verify-prefix", str(unequal), "--n", "10"]) == 1
         assert capsys.readouterr().out == "first mismatch at position 2: 0 != 1\n"
+
+    def test_reports_mismatch_past_the_first_chunk(self, capsys, tmp_path):
+        # 0 (1^p 2)^oo coded 001 against 0111... coded 00: first 1 at p + 1
+        p = CHUNK + 9
+        unequal = tmp_path / "late.txt"
+        unequal.write_text(f"3\n0{'1' * p}2\n1\n2\n001\n2\n01\n1\n00\n")
+        assert main(["verify-prefix", str(unequal), "--n", str(2 * CHUNK)]) == 1
+        assert capsys.readouterr().out == f"first mismatch at position {p + 1}: 1 != 0\n"
+
+    def test_empty_and_negative_prefix(self, capsys):
+        path = fixture_path("fib_three_letter.txt")
+        assert main(["verify-prefix", path, "--n", "0"]) == 0
+        assert capsys.readouterr().out == "equal on the first 0 symbols\n"
+        assert main(["verify-prefix", path, "--n", "-1"]) == 2
+        assert capsys.readouterr().err == "error: prefix length must be non-negative\n"
+
+    def test_prefix_length_is_bounded(self, capsys):
+        # the file does not exist: the bound is checked before anything is read
+        code = main(["verify-prefix", "no-such-file.txt", "--n", str(MAX_PREFIX + 1)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(MAX_PREFIX) in err
+        with pytest.raises(SystemExit):
+            main(["verify-prefix", "--help"])
+        assert f"at most {MAX_PREFIX}" in " ".join(capsys.readouterr().out.split())
 
     def test_agreeing_sequences_the_prover_cannot_handle(self, capsys):
         # Both sides are 0111...; the growth rates differ, so the prover

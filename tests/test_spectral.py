@@ -10,7 +10,7 @@ from morpheq.spectral import (
     mat_mul,
     parikh_vector,
 )
-from morpheq.words import Morphism, fixed_point_prefix
+from morpheq.words import FixedPoint, Morphism
 
 FIB = Morphism.from_strings("01", "0")
 SPIR = Morphism.from_strings("0", "01", "21")
@@ -80,6 +80,6 @@ def test_parikh_never_expands_words():
     # the expanded word would have ~phi^60 symbols; counts stay cheap
     counts = parikh_vector(FIB, 0, 60)
     assert sum(counts) == 4052739537881  # Fibonacci growth, exact arithmetic
-    prefix = fixed_point_prefix(FIB, 0, 500)
+    prefix = FixedPoint(FIB, 0).prefix(500)
     assert counts[0] > counts[1]
     assert prefix[:2] == (0, 1)

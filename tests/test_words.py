@@ -2,19 +2,19 @@
 
 import pytest
 
+from morpheq.catalog import even_fib_rep
 from morpheq.words import (
+    ALPHABET_LIMIT,
+    CHUNK,
+    POWER_BYTES,
     AlphabetError,
     Coding,
     FixedPoint,
     Morphism,
     MorphicRep,
     NotProlongableError,
-    apply_coding,
-    apply_morphism,
-    factor,
-    fixed_point_prefix,
+    first_mismatch,
     format_word,
-    morphism_power,
     parse_word,
     prune_unreachable,
 )
@@ -42,9 +42,9 @@ def test_format_word_rejects_wide_symbols():
 
 
 def test_apply_concatenates_images():
-    assert apply_morphism(FIB, (0, 1, 0, 0, 1)) == parse_word("01001010")
-    assert apply_morphism(FIB, ()) == ()
-    assert apply_morphism(SPIR, (2, 1, 0, 1)) == parse_word("2101001")
+    assert FIB.apply((0, 1, 0, 0, 1)) == parse_word("01001010")
+    assert FIB.apply(()) == ()
+    assert SPIR.apply((2, 1, 0, 1)) == parse_word("2101001")
 
 
 def test_apply_rejects_out_of_range_symbol():
@@ -64,15 +64,15 @@ def test_images_must_be_nonempty_and_in_range():
 def test_power():
     assert (FIB ** 2).images == (parse_word("010"), parse_word("01"))
     assert (FIB ** 3).images == (parse_word("01001"), parse_word("010"))
-    assert morphism_power(FIB, 1) == FIB
+    assert FIB.power(1) == FIB
     with pytest.raises(ValueError):
         FIB.power(0)
 
 
 def test_fixed_point_prefix():
-    assert fixed_point_prefix(FIB, 0, 8) == parse_word("01001010")
-    assert fixed_point_prefix(FIB, 0, 1) == (0,)
-    assert fixed_point_prefix(SPIR, 2, 16) == parse_word("2101001000100001")
+    assert FixedPoint(FIB, 0).prefix(8) == parse_word("01001010")
+    assert FixedPoint(FIB, 0).prefix(1) == (0,)
+    assert FixedPoint(SPIR, 2).prefix(16) == parse_word("2101001000100001")
 
 
 def test_fixed_point_requires_prolongable():
@@ -86,9 +86,9 @@ def test_fixed_point_requires_prolongable():
 
 def test_fixed_point_factor():
     s = FixedPoint(FIB, 0)
-    assert factor(s, 0, 2) == (0, 1)
-    assert factor(s, 3, 8) == parse_word("01010")
-    assert factor(s, 5, 5) == ()
+    assert s.factor(0, 2) == (0, 1)
+    assert s.factor(3, 8) == parse_word("01010")
+    assert s.factor(5, 5) == ()
     with pytest.raises(ValueError):
         s.factor(4, 2)
 
@@ -102,7 +102,7 @@ def test_fixed_point_extension_is_stable():
 
 def test_coding_application():
     tau = Coding.from_string("011")
-    assert apply_coding(tau, parse_word("2101001")) == parse_word("1101001")
+    assert tau.apply(parse_word("2101001")) == parse_word("1101001")
     assert Coding.identity(3).apply((0, 2, 1)) == (0, 2, 1)
     rho = Coding.from_string("001")
     assert rho.apply(parse_word("02102")) == parse_word("01001")
@@ -154,6 +154,115 @@ def test_prune_renumbers_and_preserves_sequence():
     tau = Coding((0, 1, 1, 1), 2)
     pruned, coding, start = prune_unreachable(f, tau, 0)
     assert pruned.alphabet_size == 2
-    before = tau.apply(fixed_point_prefix(f, 0, 200))
-    after = coding.apply(fixed_point_prefix(pruned, start, 200))
+    before = tau.apply(FixedPoint(f, 0).prefix(200))
+    after = coding.apply(FixedPoint(pruned, start).prefix(200))
     assert before == after
+
+
+def naive_fixed_point(f, a, n):
+    out = list(f.images[a])
+    i = 1
+    while len(out) < n:
+        out.extend(f.images[out[i]])
+        i += 1
+    return out[:n]
+
+
+CHUNK_LENGTHS = (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
+# Fibonacci, the even-Fibonacci representation, and two morphisms with
+# length-1 images whose buffers run only slowly ahead of their consumers:
+# spir's grows quadratically, and 0 -> 02, 1 -> 2, 2 -> 1 linearly, with the
+# eventually periodic fixed point 0212121...
+EXPANDED = {
+    "fib": (FIB, 0),
+    "even-fib": (even_fib_rep().morphism, 0),
+    "spir": (SPIR, 2),
+    "periodic-tail": (Morphism.from_strings("02", "2", "1"), 0),
+}
+
+
+@pytest.mark.parametrize("n", CHUNK_LENGTHS)
+@pytest.mark.parametrize("name", sorted(EXPANDED))
+def test_fixed_point_across_chunk_boundaries(name, n):
+    f, a = EXPANDED[name]
+    expected = naive_fixed_point(f, a, n)
+    assert FixedPoint(f, a).prefix(n) == tuple(expected)
+    assert FixedPoint(f, a).at(n - 1) == expected[n - 1]
+    assert FixedPoint(f, a).factor(CHUNK - 3, n) == tuple(expected[CHUNK - 3:])
+    grown = FixedPoint(f, a)
+    assert [grown.at(i) for i in range(CHUNK - 2, n)] == expected[CHUNK - 2:]
+
+
+@pytest.mark.parametrize("name", sorted(EXPANDED))
+def test_fixed_point_walk_past_the_power_threshold(name):
+    # requests up to POWER_BYTES expand with f, the next one with a power of f
+    f, a = EXPANDED[name]
+    n = 4 * POWER_BYTES
+    expected = naive_fixed_point(f, a, n)
+    walked = FixedPoint(f, a)
+    assert [walked.at(i) for i in range(n)] == expected
+    assert walked.prefix(POWER_BYTES + 1) == tuple(expected[:POWER_BYTES + 1])
+
+
+def marker_rep(p, marked):
+    """0 followed by (1^(p-1) 2)^oo, coding 2 to 1 if marked, everything else to 0."""
+    f = Morphism(((0,) + (1,) * (p - 1) + (2,), (1,), (2,)))
+    return MorphicRep(f, Coding((0, 0, 1 if marked else 0), 2))
+
+
+def plain_mismatch(left, right, n):
+    a, b = left.prefix(n), right.prefix(n)
+    for i in range(n):
+        if a[i] != b[i]:
+            return i, a[i], b[i]
+    return None
+
+
+ZEROS = MorphicRep(Morphism(((0, 1), (1,))), Coding((0, 0), 2))
+MISMATCHES = {
+    "position 0": (MorphicRep(FIB, Coding((1, 0), 2)), ZEROS, 0),
+    "inside the first chunk": (marker_rep(1000, True), ZEROS, 1000),
+    "at a chunk boundary": (marker_rep(CHUNK, True), marker_rep(CHUNK, False), CHUNK),
+    "in the last partial chunk": (marker_rep(3 * CHUNK + 3, True), ZEROS, 3 * CHUNK + 3),
+    "nowhere": (marker_rep(3 * CHUNK + 7, True), ZEROS, None),
+}
+
+
+@pytest.mark.parametrize("case", list(MISMATCHES))
+def test_first_mismatch_agrees_with_tuple_comparison(case):
+    left, right, position = MISMATCHES[case]
+    n = 3 * CHUNK + 7
+    found = first_mismatch(left, right, n)
+    assert found == plain_mismatch(left, right, n)
+    if position is None:
+        assert found is None
+        assert first_mismatch(right, left, n) is None
+    else:
+        pos, a, b = found
+        assert pos == position
+        assert first_mismatch(right, left, n) == (pos, b, a)
+
+
+def test_first_mismatch_of_empty_and_negative_prefixes():
+    assert first_mismatch(MorphicRep.pure(FIB), ZEROS, 0) is None
+    with pytest.raises(ValueError):
+        first_mismatch(MorphicRep.pure(FIB), ZEROS, -1)
+
+
+def test_byte_buffers_limit_the_alphabet():
+    # 0 -> 0 (n-1), every other symbol to itself: n symbols, the last one recurring
+    def wide(n):
+        return Morphism(((0, n - 1),) + tuple((i,) for i in range(1, n)))
+
+    edge = wide(ALPHABET_LIMIT)
+    n = 2 * POWER_BYTES
+    assert FixedPoint(edge, 0).prefix(n) == (0,) + (255,) * (n - 1)
+    reverse = Coding(tuple(reversed(range(ALPHABET_LIMIT))), ALPHABET_LIMIT)
+    assert MorphicRep(edge, reverse).prefix(3) == (255, 0, 0)
+    too_wide = wide(ALPHABET_LIMIT + 1)
+    with pytest.raises(AlphabetError, match="at most 256"):
+        FixedPoint(too_wide, 0)
+    with pytest.raises(AlphabetError, match="at most 256"):
+        MorphicRep(too_wide, Coding.identity(ALPHABET_LIMIT + 1))
+    with pytest.raises(AlphabetError, match="at most 256"):
+        MorphicRep(FIB, Coding((0, 300), 301))
