@@ -15,7 +15,6 @@ AlphabetError.  Their public results are still words (tuples of ints).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 Word = tuple[int, ...]
@@ -26,8 +25,8 @@ ALPHABET_LIMIT = 256
 # longer), and the length of the pieces first_mismatch compares: larger
 # chunks build larger transient lists of image references for little gain.
 CHUNK = 1 << 16
-# Once asked for more symbols than this, a FixedPoint expands with the
-# power f^(2^j) of largest j whose images take at most this many bytes in
+# A FixedPoint expands with the power f^(2^j) of largest j whose images,
+# counting only symbols the expansion reads, take at most this many bytes in
 # all: each consumed symbol then appends a long image, so far fewer symbols
 # pass through Python code.  Steps also append up to this many bytes when
 # fewer are asked for, so that symbol-by-symbol reads are served in batches.
@@ -172,17 +171,20 @@ def _closure(f: Morphism, symbols) -> set[int]:
     return reached
 
 
-def _power_images(images: tuple[bytes, ...]) -> tuple[bytes, ...]:
-    """Images of f^(2^j), for the largest j keeping them within POWER_BYTES.
+def _power_images(images: tuple[bytes, ...], used: set[int]) -> tuple[bytes, ...]:
+    """Images of f^(2^j), for the largest j keeping those of `used` within POWER_BYTES.
 
-    The images are those of f; f must be prolongable at some symbol, so
-    that the total length grows with j.
+    The images are those of f, and `used` is a set of symbols closed under f
+    that holds a symbol at which f is prolongable, so that the total length
+    grows with j.  Images of the other symbols are never read and come back
+    empty.  Only images within POWER_BYTES are squared, so no square takes
+    more than POWER_BYTES**2 bytes.
     """
-    while True:
-        counts = Counter(b"".join(images))
-        if sum(len(images[s]) * c for s, c in counts.items()) > POWER_BYTES:
-            return images
-        images = tuple(b"".join([images[s] for s in im]) for im in images)
+    images = squared = tuple(im if s in used else b"" for s, im in enumerate(images))
+    while sum(map(len, squared)) <= POWER_BYTES:
+        images = squared
+        squared = tuple(b"".join([images[s] for s in im]) for im in images)
+    return images
 
 
 class FixedPoint:
@@ -193,7 +195,7 @@ class FixedPoint:
     images of the next not-yet-consumed buffer symbols extends the known
     prefix.  Prolongability guarantees the consumer never catches up.
     The buffer is a bytearray.  f^oo(a) is also the fixed point of every
-    power of f, so long expansions use a power (see POWER_BYTES).
+    power of f, so the expansion uses a power (see POWER_BYTES).
     """
 
     def __init__(self, morphism: Morphism, start: int = 0):
@@ -204,15 +206,12 @@ class FixedPoint:
             )
         self.morphism = morphism
         self.start = start
-        self._images = tuple(bytes(im) for im in morphism.images)
-        self._powered = False
         # Only symbols after position 0 are ever consumed.
-        self._consumed = _closure(morphism, morphism.images[start][1:])
-        self._restart()
-
-    def _restart(self) -> None:
-        self._longest = max(len(self._images[s]) for s in self._consumed)
-        self._buf = bytearray(self._images[self.start])
+        consumed = _closure(morphism, morphism.images[start][1:])
+        images = tuple(bytes(im) for im in morphism.images)
+        self._images = _power_images(images, consumed | {start})
+        self._longest = max(len(self._images[s]) for s in consumed)
+        self._buf = bytearray(self._images[start])
         self._next = 1
 
     def __len__(self) -> int:
@@ -221,10 +220,6 @@ class FixedPoint:
     def extend_to(self, n: int) -> None:
         if len(self._buf) >= n:
             return
-        if n > POWER_BYTES and not self._powered:
-            self._images = _power_images(self._images)
-            self._powered = True
-            self._restart()
         buf = self._buf
         images = self._images
         longest = self._longest

@@ -1,5 +1,7 @@
 """Words, morphisms, codings, fixed points."""
 
+import tracemalloc
+
 import pytest
 
 from morpheq.catalog import even_fib_rep
@@ -169,15 +171,18 @@ def naive_fixed_point(f, a, n):
 
 
 CHUNK_LENGTHS = (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
-# Fibonacci, the even-Fibonacci representation, and two morphisms with
+# 0 -> 02, 1 -> 0^200, 2 -> 2: symbol 1 never occurs in the fixed point 0222...
+UNREACHABLE_LONG = Morphism.from_strings("02", "0" * 200, "2")
+# Fibonacci, the even-Fibonacci representation, and three morphisms with
 # length-1 images whose buffers run only slowly ahead of their consumers:
 # spir's grows quadratically, and 0 -> 02, 1 -> 2, 2 -> 1 linearly, with the
-# eventually periodic fixed point 0212121...
+# eventually periodic fixed point 0212121..., as does UNREACHABLE_LONG's.
 EXPANDED = {
     "fib": (FIB, 0),
     "even-fib": (even_fib_rep().morphism, 0),
     "spir": (SPIR, 2),
     "periodic-tail": (Morphism.from_strings("02", "2", "1"), 0),
+    "unreachable-long": (UNREACHABLE_LONG, 0),
 }
 
 
@@ -194,14 +199,34 @@ def test_fixed_point_across_chunk_boundaries(name, n):
 
 
 @pytest.mark.parametrize("name", sorted(EXPANDED))
-def test_fixed_point_walk_past_the_power_threshold(name):
-    # requests up to POWER_BYTES expand with f, the next one with a power of f
+def test_fixed_point_walk_symbol_by_symbol(name):
     f, a = EXPANDED[name]
     n = 4 * POWER_BYTES
     expected = naive_fixed_point(f, a, n)
     walked = FixedPoint(f, a)
     assert [walked.at(i) for i in range(n)] == expected
     assert walked.prefix(POWER_BYTES + 1) == tuple(expected[:POWER_BYTES + 1])
+
+
+def test_power_ignores_images_never_read():
+    # The long image of the unreachable symbol 1 does not count against
+    # POWER_BYTES, so the buffer starts as f^128(0) = 0 2^128, the longest
+    # such power whose read images 0 2^k and 2 total at most 256 bytes.
+    assert len(FixedPoint(UNREACHABLE_LONG, 0)) == 129
+
+
+def test_long_images_are_not_squared():
+    # 0 -> 0 1^3000, 1 -> 1^3000: f^2 would take 9 MB, and f is kept unsquared
+    n = 3000
+    f = Morphism(((0,) + (1,) * n, (1,) * n))
+    tracemalloc.start()
+    try:
+        fp = FixedPoint(f, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fp) == n + 1
+    assert peak < 1 << 20
 
 
 def marker_rep(p, marked):
