@@ -14,6 +14,7 @@ attempt gave up, certificate rejected, prefixes differ), 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import catalog
@@ -137,11 +138,13 @@ def _cmd_search(args) -> int:
     )
     results = search(spec)
     print(f"found {len(results)} representations", file=sys.stderr)
+    # Results share a few hundred distinct words at most; format each once.
+    fmt = functools.cache(format_word)
     blocks = []
     for rep in results:
         lines = [f"complexity {rep.complexity}", str(rep.morphism.alphabet_size)]
-        lines.extend(format_word(im) for im in rep.morphism.images)
-        lines.append(format_word(rep.coding.table))
+        lines.extend(fmt(im) for im in rep.morphism.images)
+        lines.append(fmt(rep.coding.table))
         blocks.append("\n".join(lines))
     if blocks:
         print("\n\n".join(blocks))

@@ -6,12 +6,28 @@ coding, such that the coded fixed point reproduces the first prefix_len
 symbols of the target.  The search walks a tree of partial assignments:
 
   * the fixed-point buffer is grown by consuming its own symbols in order;
-  * hitting a symbol without an image branches over all candidate images;
-  * every buffered position below prefix_len is matched against the target
-    immediately, which forces the coding of each symbol at its first
-    occurrence and abandons the branch at the first mismatch;
+  * hitting a symbol without an image branches over the candidate images
+    that fit the target where they land (below);
+  * every buffered position below prefix_len is matched against the target,
+    which forces the coding of each symbol at its first occurrence and
+    abandons the branch at the first mismatch;
   * new symbols may only be introduced in increasing order, so each result
     is the canonical member of its renaming class.
+
+Rejection before descent: at a branch point every buffered symbol is
+matched, so a new image lands on the next max_image_len target symbols, cut
+at prefix_len.  An image is viable only if each of its symbols whose coding
+is known, or was forced earlier in the same image, codes the target symbol
+it lands on; the others are dropped without descending.  The viable images
+depend only on the largest symbol seen, the coding so far and those target
+symbols, so they are cached under that key by a searcher that lives for one
+search() call.
+
+Task split: the walk from each image of 0 to its first branch point has no
+choices, so the search splits there into one task per viable image.  The
+same task list runs in process for one job and over a process pool
+otherwise, with at most one worker per task and per CPU; tasks that
+introduce more symbols tend to be larger and go first.
 
 A result is reported only when every image was consumed while deriving the
 prefix, i.e. when the match leaves no free choice open.  Results come back
@@ -21,6 +37,7 @@ sorted by complexity (total image length), then by image list, then coding.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
 
 from .words import Coding, FixedPoint, Morphism, Word
@@ -97,7 +114,25 @@ def _root_images(n: int, max_len: int) -> list[Word]:
     return [(0,) + w for w in _candidate_images(0, n, max_len - 1)]
 
 
+# A candidate image that fits the target where it lands: the image, the
+# codings it forces on the symbols it introduces, and the largest symbol seen
+# once it is placed.
+_Fit = tuple[Word, tuple[tuple[int, int], ...], int]
+
+# One subtree of the search: an image of 0 and the image chosen at the first
+# branch point below it.
+_Task = tuple[_Fit, _Fit]
+
+_Result = tuple[tuple[Word, ...], tuple[int, ...]]
+
+
 class _Searcher:
+    """Depth-first walk over partial assignments for one target.
+
+    Holds the viable-image cache, so an instance never outlives the search()
+    call that made it.
+    """
+
     def __init__(self, target: Word, n: int, max_len: int, prefix_len: int):
         self.target = target
         self.n = n
@@ -107,105 +142,161 @@ class _Searcher:
         self.coding: list[int | None] = [None] * n
         self.buf: list[int] = []
         self.ptr = 0
-        self.checked = 0
         self.max_seen = 0
-        self.trail: list[int] = []
-        self.results: list[tuple[tuple[Word, ...], tuple[int, ...]]] = []
-        self._cands: dict[int, list[Word]] = {}
+        self.results: list[_Result] = []
+        self._viable: dict[tuple, list[_Fit]] = {}
 
-    def run_from_root(self, root: Word) -> None:
-        self.images[0] = root
-        self.buf = list(root)
+    def tasks(self) -> list[_Task]:
+        """One task per viable image at the first branch point below each root.
+
+        A root whose walk ends before any branch point records its result, if
+        it has one, here.
+        """
+        out: list[_Task] = []
+        for root in self._roots():
+            if self._start(root):
+                out.extend((root, fit) for fit in self._fits())
+        # Every symbol seen but without an image is a branch point below, so
+        # tasks whose first image leaves a larger symbol seen tend to be
+        # larger: run them first.
+        out.sort(key=lambda task: task[1][2], reverse=True)
+        return out
+
+    def run(self, task: _Task) -> list[_Result]:
+        """Search the subtree of one task; returns the results found in it."""
+        root, first = task
+        self.results = []
+        if self._start(root):
+            self._branch([first])
+        return self.results
+
+    def _roots(self) -> list[_Fit]:
+        window = self.target[: min(self.max_len, self.N)]
+        return self._fit(_root_images(self.n, self.max_len), -1, window)
+
+    def _start(self, root: _Fit) -> bool:
+        """Place an image of 0 and walk on; True when stopped at a branch point."""
+        image, fresh, seen = root
+        self.images = [image] + [None] * (self.n - 1)
+        self.coding = [None] * self.n
+        for x, c in fresh:
+            self.coding[x] = c
+        self.buf = list(image)
         self.ptr = 1
-        self.checked = 0
-        self.max_seen = max(root)
-        self._advance()
-        self.images[0] = None
-        self.buf.clear()
-        self.trail.clear()
-        for s in range(self.n):
-            self.coding[s] = None
+        self.max_seen = seen
+        return self._walk()
 
-    def _candidates(self, max_seen: int) -> list[Word]:
-        cached = self._cands.get(max_seen)
-        if cached is None:
-            cached = _candidate_images(max_seen, self.n, self.max_len)
-            self._cands[max_seen] = cached
-        return cached
+    def _fit(self, images: list[Word], seen: int, window: Word) -> list[_Fit]:
+        """The images whose symbols code the window they would land on.
 
-    def _advance(self) -> None:
+        Symbols up to seen have a known coding; larger ones are new, and take
+        the target symbol at their first occurrence in the image.
+        """
+        coding = self.coding
+        out: list[_Fit] = []
+        for image in images:
+            codes: dict[int, int] = {}
+            for x, want in zip(image, window):
+                have = coding[x] if x <= seen else codes.setdefault(x, want)
+                if have != want:
+                    break
+            else:
+                out.append((image, tuple(codes.items()), max(seen, *image)))
+        return out
+
+    def _fits(self) -> list[_Fit]:
+        """Viable images for the symbol at ptr, cached for this search.
+
+        At a branch point every buffered symbol is matched, so the image lands
+        on the next max_len target symbols, cut at the prefix.  The viable
+        images depend only on those and the coding so far, which also fixes
+        max_seen.
+        """
+        pos = len(self.buf)
+        window = self.target[pos : min(pos + self.max_len, self.N)]
+        key = (tuple(self.coding), window)
+        fits = self._viable.get(key)
+        if fits is None:
+            candidates = _candidate_images(self.max_seen, self.n, self.max_len)
+            fits = self._fit(candidates, self.max_seen, window)
+            self._viable[key] = fits
+        return fits
+
+    def _walk(self) -> bool:
+        """Consume symbols whose image is chosen, matching what they append.
+
+        Every buffered symbol below the prefix is already matched on entry.
+        Returns True at a symbol without an image; False after a mismatch or
+        once the prefix is full, recording a result if every image is chosen.
+        """
         buf = self.buf
         coding = self.coding
         target = self.target
+        images = self.images
         N = self.N
-        while True:
-            checked = self.checked
-            limit = len(buf) if len(buf) < N else N
-            while checked < limit:
-                s = buf[checked]
-                c = coding[s]
-                if c is None:
-                    coding[s] = target[checked]
-                    self.trail.append(s)
-                elif c != target[checked]:
-                    self.checked = checked
-                    return
-                checked += 1
-            self.checked = checked
-            if len(buf) >= N:
-                if None not in self.images:
-                    self.results.append(
-                        (tuple(self.images), tuple(coding))  # type: ignore[arg-type]
-                    )
-                return
-            s = buf[self.ptr]
-            im = self.images[s]
-            if im is not None:
-                buf.extend(im)
-                self.ptr += 1
-                continue
-            saved_buf = len(buf)
-            saved_ptr = self.ptr
-            saved_checked = self.checked
-            saved_seen = self.max_seen
-            saved_trail = len(self.trail)
-            for cand in self._candidates(self.max_seen):
-                self.images[s] = cand
-                buf.extend(cand)
-                self.ptr += 1
-                for x in cand:
-                    if x > self.max_seen:
-                        self.max_seen = x
-                self._advance()
-                del buf[saved_buf:]
-                self.ptr = saved_ptr
-                self.checked = saved_checked
-                self.max_seen = saved_seen
-                for symbol in self.trail[saved_trail:]:
-                    coding[symbol] = None
-                del self.trail[saved_trail:]
-            self.images[s] = None
-            return
+        ptr = self.ptr
+        size = len(buf)
+        while size < N:
+            image = images[buf[ptr]]
+            if image is None:
+                self.ptr = ptr
+                return True
+            for x in image:
+                if coding[x] != target[size]:
+                    return False
+                size += 1
+                if size == N:
+                    break
+            buf.extend(image)
+            ptr += 1
+        if None not in images:
+            self.results.append((tuple(images), tuple(coding)))  # type: ignore[arg-type]
+        return False
+
+    def _branch(self, fits: list[_Fit]) -> None:
+        """Give the symbol at ptr each fitting image in turn and search below."""
+        buf = self.buf
+        coding = self.coding
+        images = self.images
+        s = buf[self.ptr]
+        ptr = self.ptr
+        size = len(buf)
+        seen = self.max_seen
+        for image, fresh, top in fits:
+            images[s] = image
+            buf.extend(image)
+            for x, c in fresh:
+                coding[x] = c
+            self.ptr = ptr + 1
+            self.max_seen = top
+            if self._walk():
+                self._branch(self._fits())
+            del buf[size:]
+            for x, _ in fresh:
+                coding[x] = None
+        images[s] = None
+        self.ptr = ptr
+        self.max_seen = seen
 
 
-def _search_root(args: tuple[Word, int, int, int, Word]) -> list[tuple[tuple[Word, ...], tuple[int, ...]]]:
-    target, n, max_len, prefix_len, root = args
-    searcher = _Searcher(target, n, max_len, prefix_len)
-    searcher.run_from_root(root)
-    return searcher.results
+def _search_task(args: tuple[Word, int, int, int, _Task]) -> list[_Result]:
+    target, n, max_len, prefix_len, task = args
+    return _Searcher(target, n, max_len, prefix_len).run(task)
 
 
 def search(spec: SearchSpec) -> list[FoundRep]:
     """All representations matching the target prefix, exhaustively."""
     target = spec.target[: spec.prefix_len]
-    roots = _root_images(spec.alphabet_size, spec.max_image_len)
-    tasks = [(target, spec.alphabet_size, spec.max_image_len, spec.prefix_len, r) for r in roots]
-
-    if spec.jobs == 1:
-        raw = [_search_root(t) for t in tasks]
+    searcher = _Searcher(target, spec.alphabet_size, spec.max_image_len, spec.prefix_len)
+    tasks = searcher.tasks()
+    raw = [searcher.results]  # from roots whose walk had no branch point
+    workers = min(spec.jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        raw.extend(searcher.run(t) for t in tasks)
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            raw = list(pool.map(_search_root, tasks))
+        args = [(target, spec.alphabet_size, spec.max_image_len, spec.prefix_len, t) for t in tasks]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            raw.extend(pool.map(_search_task, args))
 
     target_size = max(spec.target) + 1
     found = []

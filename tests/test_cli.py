@@ -1,5 +1,6 @@
 """End-to-end command line behavior, including exit codes and exact output."""
 
+import hashlib
 import shutil
 import subprocess
 
@@ -217,6 +218,24 @@ class TestSearch:
         )
         assert code == 0
         assert capsys.readouterr().out == self.EXPECTED_OUT
+
+    @pytest.mark.parametrize(
+        "builtin, count, sha256",
+        [
+            ("even-fib", 7, "9c712bf318adfa67da4288ac769c2c6d7413194315eddf9869022d282d6fceb6"),
+            ("odd-fib", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            ("spir", 166, "62cb3ba3b76191bd8a4a712b0f678103956c397abec82955d04c10e6af7ded5a"),
+        ],
+    )
+    def test_result_lists_are_pinned(self, capsys, builtin, count, sha256):
+        """Printed result lists at alphabet 5, image length 3, prefix 60."""
+        code = main(
+            ["search", "--target", builtin, "--alphabet", "5", "--maxlen", "3", "--prefix", "60"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
+        assert captured.err == f"found {count} representations\n"
 
     def test_rejects_non_digit_target_file(self, capsys, tmp_path):
         target = tmp_path / "junk.digits"

@@ -1,7 +1,13 @@
 """Exhaustive representation search: exact small censuses and guards."""
 
-import pytest
+import dataclasses
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from morpheq import repsearch
 from morpheq.catalog import builtin_prefix, even_fib_rep, fib_rep
 from morpheq.repsearch import (
     FoundRep,
@@ -76,6 +82,109 @@ class TestSearch:
             target=target, alphabet_size=2, max_image_len=3, prefix_len=25, jobs=2
         )
         assert search(spec1) == search(spec2)
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [(100000, 4, 4), (3, 4, 3), (100000, 10**6, "tasks"), (2, None, 0), (100000, 1, 0)],
+    )
+    def test_worker_count_is_capped(self, monkeypatch, jobs, cpus, workers):
+        """min(jobs, tasks, CPUs) workers; none when that is one. Starts no process."""
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(repsearch.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(repsearch.os, "cpu_count", lambda: cpus)
+        target = fib_rep().prefix(30)
+        spec = SearchSpec(target=target, alphabet_size=3, max_image_len=3, prefix_len=30, jobs=jobs)
+        tasks = len(repsearch._Searcher(target, 3, 3, 30).tasks())
+        assert 4 < tasks < 10**5
+        assert search(spec) == search(dataclasses.replace(spec, jobs=1))
+        expected = tasks if workers == "tasks" else workers
+        assert started == ([expected] if expected else [])
+
+
+def forced_coding(images, target, prefix_len):
+    """The coding that makes this morphism a search result, or None.
+
+    Grows the fixed point at 0 by consuming its own symbols until it holds
+    prefix_len symbols; every symbol must be consumed on the way, symbols
+    must first appear in increasing order, and coding each symbol by the
+    target at its first occurrence must reproduce the prefix.
+    """
+    root = images[0]
+    if root[0] != 0 or len(root) < 2:
+        return None
+    buf = list(root)
+    consumed = {0}
+    ptr = 1
+    while len(buf) < prefix_len:
+        consumed.add(buf[ptr])
+        buf.extend(images[buf[ptr]])
+        ptr += 1
+    if len(consumed) < len(images):
+        return None
+    prefix = buf[:prefix_len]
+    if list(dict.fromkeys(prefix)) != list(range(len(images))):
+        return None
+    table = tuple(target[prefix.index(s)] for s in range(len(images)))
+    if any(table[s] != t for s, t in zip(prefix, target)):
+        return None
+    return table
+
+
+def brute_force(target, n, max_len, prefix_len):
+    """Every (images, coding) pair over n symbols that search should report."""
+    words = [w for k in range(1, max_len + 1) for w in itertools.product(range(n), repeat=k)]
+    found = set()
+    for images in itertools.product(words, repeat=n):
+        table = forced_coding(images, target, prefix_len)
+        if table is not None:
+            found.add((images, table))
+    return found
+
+
+def agrees_with_brute_force(target, n, max_len, prefix_len):
+    """search at one and two jobs reports exactly the brute-force set; its size."""
+    spec = SearchSpec(target=target, alphabet_size=n, max_image_len=max_len, prefix_len=prefix_len)
+    expected = brute_force(target, n, max_len, prefix_len)
+    for jobs in (1, 2):
+        res = search(dataclasses.replace(spec, jobs=jobs))
+        assert {(r.morphism.images, r.coding.table) for r in res} == expected
+        assert len(res) == len(expected)
+    return len(expected)
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("name, prefix_len", [("fib", 8), ("fib", 24), ("even-fib", 8)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_builtin_prefixes(self, name, prefix_len, n):
+        agrees_with_brute_force(builtin_prefix(name, prefix_len), n, 2, prefix_len)
+
+    @pytest.mark.parametrize("name, prefix_len", [("fib", 30), ("even-fib", 10)])
+    def test_images_of_three_symbols(self, name, prefix_len):
+        assert agrees_with_brute_force(builtin_prefix(name, prefix_len), 3, 3, prefix_len) > 0
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        target=st.lists(st.integers(0, 1), min_size=2, max_size=16).map(tuple),
+        n=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_binary_targets(self, target, n, data):
+        prefix_len = data.draw(st.integers(1, len(target)))
+        agrees_with_brute_force(target, n, 2, prefix_len)
 
 
 class TestGuards:
