@@ -26,7 +26,6 @@ from .prover import (
     SafePairTable,
     derive_table,
     find_initial_safe_pair,
-    is_safe_pair,
     prove_basic,
     prove_general,
 )
@@ -61,6 +60,7 @@ from .words import (
     Morphism,
     MorphicRep,
     NotProlongableError,
+    PowerLimitError,
     Word,
     first_mismatch,
     format_word,
@@ -84,6 +84,7 @@ __all__ = [
     "MorphicRep",
     "NotProlongableError",
     "ParseError",
+    "PowerLimitError",
     "Proof",
     "ProofMode",
     "ProveFailure",
@@ -108,7 +109,6 @@ __all__ = [
     "format_word",
     "incidence_matrix",
     "is_primitive",
-    "is_safe_pair",
     "odd_length_power",
     "odd_prefix",
     "parikh_vector",

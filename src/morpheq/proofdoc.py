@@ -2,8 +2,11 @@
 
 check_proof re-derives everything it needs (the scaled morphisms f^p, g^q
 included) from the proof's stored base problem, so it accepts or rejects a
-certificate on its own authority; the prover is never consulted.  Renderers
-refuse proofs that do not pass the checker and otherwise emit a fixed,
+certificate on its own authority; the prover is never consulted.  What it
+cannot evaluate is a violation, not an exception: a pair symbol outside its
+side's alphabet is an "alphabet" violation, and exponents whose powers
+would pass words.POWER_LIMIT are a "budget" violation.  Renderers refuse
+proofs that do not pass the checker and otherwise emit a fixed,
 deterministic document: scaling announcements, the claim, the numbered
 simultaneous properties, the n=0 basis, one induction-step block per pair,
 and a closing line, with one blank line between blocks.
@@ -14,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .prover import Proof
-from .words import Morphism, format_word
+from .words import AlphabetError, Morphism, PowerLimitError, format_word
 
-CONDITIONS = ("coding-eq", "f-decomposition", "g-decomposition", "start-symbol", "nonempty")
+CONDITIONS = ("coding-eq", "f-decomposition", "g-decomposition", "start-symbol", "nonempty",
+              "alphabet", "budget")
 
 
 @dataclass(frozen=True)
@@ -35,8 +39,6 @@ class CheckReport:
 def check_proof(proof: Proof) -> CheckReport:
     """Verify every induction-proof obligation of the table; report all failures."""
     problem = proof.problem
-    fp = proof.scaled_f
-    gq = proof.scaled_g
     pairs = proof.table.pairs
     decomps = proof.table.decompositions
     n = len(pairs)
@@ -46,13 +48,28 @@ def check_proof(proof: Proof) -> CheckReport:
         if len(u) == 0 or len(v) == 0:
             violations.append(Violation("nonempty", i, "empty word in pair"))
 
+    # A pair with a symbol outside its side's alphabet gets no further checks.
+    valid = []
     for i, (u, v) in enumerate(pairs):
-        if problem.tau.apply(u) != problem.rho.apply(v):
+        try:
+            coded = problem.tau.apply(u), problem.rho.apply(v)
+        except AlphabetError as err:
+            violations.append(Violation("alphabet", i, str(err)))
+            continue
+        if coded[0] != coded[1]:
             violations.append(
                 Violation("coding-eq", i, "coded words of the pair differ")
             )
+        valid.append(i)
 
-    for i, ((u, v), w) in enumerate(zip(pairs, decomps)):
+    try:
+        fp = proof.scaled_f
+        gq = proof.scaled_g
+    except PowerLimitError as err:
+        violations.append(Violation("budget", 0, str(err)))
+        valid = []  # no decomposition can be checked without the powers
+    for i in valid:
+        (u, v), w = pairs[i], decomps[i]
         if any(not 0 <= j < n for j in w):
             violations.append(
                 Violation("f-decomposition", i, "decomposition index out of range")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .scaling import DEFAULT_TOLERANCE, equalize
 from .words import (
@@ -138,17 +139,15 @@ def _show(w: Word) -> str:
         return ",".join(str(s) for s in w)
 
 
-def is_safe_pair(f: Morphism, g: Morphism, u: Word, v: Word) -> bool:
-    """Equal lengths, and equal image lengths under f and g respectively.
-
-    Empty pairs are vacuously safe; callers that need non-empty words must
-    exclude them separately.
-    """
-    if len(u) != len(v):
-        return False
-    flen = sum(len(f.images[s]) for s in u)
-    glen = sum(len(g.images[s]) for s in v)
-    return flen == glen
+def _smallest_safe_cut(fw, gw, flen_of: tuple[int, ...], glen_of: tuple[int, ...]) -> int | None:
+    """Smallest m with |f(fw[:m])| = |g(gw[:m])|, or None; reads fw and gw no further."""
+    flen = glen = 0
+    for m, (x, y) in enumerate(zip(fw, gw), 1):
+        flen += flen_of[x]
+        glen += glen_of[y]
+        if flen == glen:
+            return m
+    return None
 
 
 def find_initial_safe_pair(
@@ -157,17 +156,16 @@ def find_initial_safe_pair(
     """Smallest equal-length prefixes of the two fixed points forming a safe pair."""
     sf = FixedPoint(f, 0)
     sg = FixedPoint(g, 0)
-    flen = 0
-    glen = 0
-    for length in range(1, max_len + 1):
-        flen += len(f.images[sf.at(length - 1)])
-        glen += len(g.images[sg.at(length - 1)])
-        if flen == glen:
-            return sf.prefix(length), sg.prefix(length)
-    raise ProveFailure(
-        FailureStage.NO_INITIAL_SAFE_PAIR,
-        f"no safe prefix pair up to length {max_len}",
+    positions = range(max_len)
+    cut = _smallest_safe_cut(
+        map(sf.at, positions), map(sg.at, positions), f.image_lengths(), g.image_lengths()
     )
+    if cut is None:
+        raise ProveFailure(
+            FailureStage.NO_INITIAL_SAFE_PAIR,
+            f"no safe prefix pair up to length {max_len}",
+        )
+    return sf.prefix(cut), sg.prefix(cut)
 
 
 def derive_table(
@@ -220,15 +218,8 @@ def derive_table(
         pos = 0
         total = len(fu)
         while pos < total:
-            cut = None
-            flen = 0
-            glen = 0
-            for length in range(1, min(config.max_pair_len, total - pos) + 1):
-                flen += flen_of[fu[pos + length - 1]]
-                glen += glen_of[gv[pos + length - 1]]
-                if flen == glen:
-                    cut = length
-                    break
+            end = pos + config.max_pair_len
+            cut = _smallest_safe_cut(fu[pos:end], gv[pos:end], flen_of, glen_of)
             if cut is None:
                 raise ProveFailure(
                     FailureStage.DECOMPOSITION_STUCK,
@@ -284,28 +275,23 @@ def prove_basic(
     n = gq.alphabet_size
 
     seq_g = FixedPoint(gq, 0)
-    first_cum: dict[int, int] = {}
-    cum = 0
-    pos = 0
-    while len(first_cum) < n and pos < config.horizon:
-        s = seq_g.at(pos)
-        if s not in first_cum:
-            first_cum[s] = cum
-        cum += len(gq.images[s])
-        pos += 1
-    if len(first_cum) < n:
-        missing = min(set(range(n)) - set(first_cum))
+    first = seq_g.first_occurrences(config.horizon)
+    if len(first) < n:
+        missing = min(set(range(n)) - set(first))
         raise ProveFailure(
-            FailureStage.CODING_MISMATCH,
+            FailureStage.DECOMPOSITION_STUCK,
             f"symbol {missing} does not occur in the first {config.horizon} "
             "symbols of g's fixed point",
         )
+    # g(i) starts where the images of the symbols before the first i end.
+    glen = gq.image_lengths()
+    ends = list(accumulate((glen[s] for s in seq_g.prefix(max(first.values()))), initial=0))
 
     seq_f = FixedPoint(fp, 0)
     us: list[Word] = []
     for i in range(n):
         v = gq.images[i]
-        start = first_cum[i]
+        start = ends[first[i]]
         end = start + len(v)
         if end > config.prefix_budget:
             raise ProveFailure(
@@ -320,7 +306,7 @@ def prove_basic(
         v = gq.images[i]
         if norm.tau.apply(u) != norm.rho.apply(v):
             raise ProveFailure(
-                FailureStage.DECOMPOSITION_STUCK,
+                FailureStage.CODING_MISMATCH,
                 f"coded words differ on pair ({_show(u)}, {_show(v)}) for symbol {i}",
             )
         expected = tuple(s for a in v for s in us[a])

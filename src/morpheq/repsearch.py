@@ -40,7 +40,7 @@ import concurrent.futures
 import os
 from dataclasses import dataclass
 
-from .words import Coding, FixedPoint, Morphism, Word
+from .words import Coding, FixedPoint, Morphism, Word, rename_symbols
 
 MAX_ALPHABET = 6
 MAX_IMAGE_LEN = 3
@@ -316,23 +316,7 @@ def canonical_form(
     Every symbol must occur within budget symbols of the fixed point;
     unreachable symbols make the renaming undefined.
     """
-    seq = FixedPoint(f, 0)
-    order: list[int] = []
-    seen = set()
-    pos = 0
-    while len(order) < f.alphabet_size and pos < budget:
-        s = seq.at(pos)
-        if s not in seen:
-            seen.add(s)
-            order.append(s)
-        pos += 1
+    order = list(FixedPoint(f, 0).first_occurrences(budget))
     if len(order) < f.alphabet_size:
         raise ValueError(f"not all symbols occur in the first {budget} symbols")
-    rename = {old: new for new, old in enumerate(order)}
-    images = [()] * f.alphabet_size
-    for old, new in rename.items():
-        images[new] = tuple(rename[s] for s in f.images[old])
-    table = [0] * f.alphabet_size
-    for old, new in rename.items():
-        table[new] = coding.table[old]
-    return Morphism(tuple(images)), Coding(tuple(table), coding.target_size)
+    return rename_symbols(f, coding, order)

@@ -4,13 +4,15 @@ The incidence matrix M of f counts occurrences: M[i][j] is the number of
 times symbol i occurs in f(j).  Symbol counts of f^k(w) are then matrix
 powers acting on the count vector of w, which keeps every computation on
 arbitrary-precision integers and never expands a word.  The dominant
-eigenvalue is estimated by the exact rational |f^(n+1)(a)| / |f^n(a)|.
+eigenvalue is estimated by the exact rational |f^(n+1)(a)| / |f^n(a)|,
+with the lengths taken from Morphism.power_lengths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .words import AlphabetError, Morphism
 
@@ -53,11 +55,6 @@ def parikh_vector(f: Morphism, a: int, k: int) -> tuple[int, ...]:
     return v
 
 
-def expansion_length(f: Morphism, a: int, k: int) -> int:
-    """|f^k(a)| without expanding the word."""
-    return sum(parikh_vector(f, a, k))
-
-
 @dataclass(frozen=True)
 class EigenEstimate:
     """Exact rational |f^(n+1)(a)| / |f^n(a)| approximating the growth rate.
@@ -78,15 +75,12 @@ class EigenEstimate:
 def estimate_eigenvalue(f: Morphism, a: int, n: int = 8) -> EigenEstimate:
     if n < 1:
         raise ValueError("iteration count must be at least 1")
-    m = incidence_matrix(f)
     size = f.alphabet_size
     if not 0 <= a < size:
         raise AlphabetError(f"symbol {a} outside alphabet of size {size}")
-    v = tuple(1 if i == a else 0 for i in range(size))
-    for _ in range(n):
-        v = mat_vec(m, v)
-    length_now = sum(v)
-    length_next = sum(mat_vec(m, v))
+    lengths = islice(f.power_lengths(), n - 1, None)
+    length_now = next(lengths)[a]
+    length_next = next(lengths)[a]
     return EigenEstimate(length_next, length_now, n)
 
 

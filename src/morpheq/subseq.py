@@ -37,17 +37,11 @@ def odd_prefix(rep: MorphicRep, count: int) -> Word:
 def odd_length_power(f: Morphism, max_k: int = 12) -> int | None:
     """Smallest k <= max_k with every |f^k(a)| odd, or None.
 
-    Image lengths of f^k are tracked mod 2 through the incidence counts,
-    so no image is ever expanded.
+    The lengths come from Morphism.power_lengths, so no image is expanded.
     """
-    n = f.alphabet_size
-    parities = [len(im) % 2 for im in f.images]
-    for k in range(1, max_k + 1):
-        if all(p == 1 for p in parities):
+    for k, lengths in zip(range(1, max_k + 1), f.power_lengths()):
+        if all(x % 2 for x in lengths):
             return k
-        parities = [
-            sum(parities[s] for s in f.images[a]) % 2 for a in range(n)
-        ]
     return None
 
 

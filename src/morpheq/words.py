@@ -11,11 +11,17 @@ FixedPoint and MorphicRep keep expanded sequences as bytes, one byte per
 symbol, so both need alphabets of at most 256 symbols (ALPHABET_LIMIT): the
 morphism's alphabet, and the coding's target alphabet.  Larger ones raise
 AlphabetError.  Their public results are still words (tuples of ints).
+
+Morphism.power_lengths gives |f^k(a)| as the sum of |f^(k-1)(s)| over the
+symbols s of f(a), without expanding; Morphism.power uses it to refuse
+powers over POWER_LIMIT with PowerLimitError.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 Word = tuple[int, ...]
 
@@ -31,6 +37,9 @@ CHUNK = 1 << 16
 # pass through Python code.  Steps also append up to this many bytes when
 # fewer are asked for, so that symbol-by-symbol reads are served in batches.
 POWER_BYTES = 1 << 8
+# Most symbols Morphism.power writes, summed over the images of f^2, ..., f^k
+# it builds on the way to f^k.
+POWER_LIMIT = 1 << 20
 
 
 class AlphabetError(ValueError):
@@ -39,6 +48,10 @@ class AlphabetError(ValueError):
 
 class NotProlongableError(ValueError):
     """The morphism has no infinite fixed point at the requested symbol."""
+
+
+class PowerLimitError(ValueError):
+    """A power of a morphism would have more image symbols than POWER_LIMIT."""
 
 
 def _check_byte_alphabet(size: int, what: str) -> None:
@@ -96,10 +109,28 @@ class Morphism:
             out.extend(self.images[s])
         return tuple(out)
 
+    def power_lengths(self) -> Iterator[tuple[int, ...]]:
+        """Image lengths of f, f^2, f^3, ... without expanding any image."""
+        lengths = self.image_lengths()
+        while True:
+            yield lengths
+            lengths = tuple(sum(lengths[s] for s in im) for im in self.images)
+
     def power(self, k: int) -> Morphism:
-        """The k-fold composition, computed image by image."""
+        """The k-fold composition, computed image by image.
+
+        Raises PowerLimitError, before expanding anything, when the images of
+        f^2, ..., f^k hold more than POWER_LIMIT symbols in all.
+        """
         if k < 1:
             raise ValueError("exponent must be at least 1")
+        total = 0
+        for _, lengths in zip(range(k - 1), islice(self.power_lengths(), 1, None)):
+            total += sum(lengths)
+            if total > POWER_LIMIT:
+                raise PowerLimitError(
+                    f"power {k} of the morphism needs more than {POWER_LIMIT} image symbols"
+                )
         images = self.images
         for _ in range(k - 1):
             images = tuple(self.apply(im) for im in images)
@@ -208,8 +239,9 @@ class FixedPoint:
         self.start = start
         # Only symbols after position 0 are ever consumed.
         consumed = _closure(morphism, morphism.images[start][1:])
+        self._symbols = consumed | {start}
         images = tuple(bytes(im) for im in morphism.images)
-        self._images = _power_images(images, consumed | {start})
+        self._images = _power_images(images, self._symbols)
         self._longest = max(len(self._images[s]) for s in consumed)
         self._buf = bytearray(self._images[start])
         self._next = 1
@@ -253,6 +285,24 @@ class FixedPoint:
         if not 0 <= k <= m:
             raise ValueError(f"invalid range [{k}, {m})")
         return tuple(self._bytes(k, m))
+
+    def first_occurrences(self, limit: int) -> dict[int, int]:
+        """First position below limit of each symbol found there, in order of position.
+
+        The prefix grows in doubling steps, so expansion stops soon after the
+        last symbol of the fixed point is seen, however far off limit is.
+        """
+        found: dict[int, int] = {}
+        size = 0
+        while len(found) < len(self._symbols) and size < limit:
+            end = min(limit, max(2 * size, POWER_BYTES))
+            self.extend_to(end)
+            for s in self._symbols - found.keys():
+                i = self._buf.find(s, size, end)
+                if i >= 0:
+                    found[s] = i
+            size = end
+        return dict(sorted(found.items(), key=lambda item: item[1]))
 
 
 @dataclass(frozen=True)
@@ -328,7 +378,12 @@ def prune_unreachable(f: Morphism, coding: Coding, a: int) -> tuple[Morphism, Co
     if not 0 <= a < f.alphabet_size:
         raise AlphabetError(f"symbol {a} outside alphabet")
     kept = sorted(_closure(f, (a,)))
-    rename = {old: new for new, old in enumerate(kept)}
-    images = tuple(tuple(rename[s] for s in f.images[old]) for old in kept)
-    table = tuple(coding.table[old] for old in kept)
-    return Morphism(images), Coding(table, coding.target_size), rename[a]
+    return (*rename_symbols(f, coding, kept), kept.index(a))
+
+
+def rename_symbols(f: Morphism, coding: Coding, order: list[int]) -> tuple[Morphism, Coding]:
+    """f and its coding on the symbols of order (closed under f), order[i] renamed i."""
+    new = {old: i for i, old in enumerate(order)}
+    images = tuple(tuple(new[s] for s in f.images[old]) for old in order)
+    table = tuple(coding.table[old] for old in order)
+    return Morphism(images), Coding(table, coding.target_size)

@@ -30,6 +30,16 @@ def read_fixture(name: str) -> str:
     return (FIXTURES / name).read_text()
 
 
+# Inputs whose powers pass words.POWER_LIMIT: a 50-byte Fibonacci
+# certificate at exponents (34, 34), and a 1550-byte problem, 256-uniform
+# against 512-uniform, that the prover scales by (9, 8).
+FIB_CERTIFICATE_P34 = "2\n01\n0\n01\n" * 2 + "34 34 general\n2\n0\n0\n0 1\n1\n1\n0\n"
+UNIFORM_256_512 = (
+    "2\n0" + "1" * 255 + "\n" + "1" * 256 + "\n01\n"
+    "2\n0" + "1" * 511 + "\n" + "1" * 512 + "\n01\n"
+)
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

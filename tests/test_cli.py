@@ -3,13 +3,14 @@
 import hashlib
 import shutil
 import subprocess
+from time import perf_counter
 
 import pytest
 
 from morpheq.cli import MAX_PREFIX, main
 from morpheq.words import CHUNK
 
-from conftest import FIXTURES
+from conftest import FIB_CERTIFICATE_P34, FIXTURES, UNIFORM_256_512
 
 
 def fixture_path(name: str) -> str:
@@ -86,6 +87,16 @@ class TestProve:
         assert main(["prove", str(tmp_path / "absent.txt")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_scaled_morphisms_over_budget_exit_2(self, capsys, tmp_path):
+        problem = tmp_path / "uniform.txt"
+        problem.write_text(UNIFORM_256_512)
+        start = perf_counter()
+        assert main(["prove", str(problem)]) == 2
+        assert perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: power 9 of the morphism needs more than 1048576 image symbols\n"
+
 
 class TestCheck:
     def test_accepts_generated_certificate(self, capsys, golden_dir):
@@ -101,6 +112,17 @@ class TestCheck:
         assert main(["check", str(tampered)]) == 1
         out = capsys.readouterr().out
         assert "violation: f-decomposition on pair 0" in out
+
+    def test_rejects_powers_over_budget(self, capsys, tmp_path):
+        cert = tmp_path / "fib34.proof"
+        cert.write_text(FIB_CERTIFICATE_P34)
+        start = perf_counter()
+        assert main(["check", str(cert)]) == 1
+        assert perf_counter() - start < 1
+        assert capsys.readouterr().out == (
+            "violation: budget on pair 0: "
+            "power 34 of the morphism needs more than 1048576 image symbols\n"
+        )
 
 
 class TestVerifyPrefix:
@@ -178,6 +200,15 @@ class TestSubseq:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "no power up to 12 makes every image length odd\n"
+
+    def test_encode_blocks_over_budget_exits_2(self, capsys, tmp_path):
+        # f^2 is the first power with odd image lengths, and f^2(1) = 1^(1025^2).
+        rep = tmp_path / "rep.txt"
+        rep.write_text("2\n01\n" + "1" * 1025 + "\n01\n")
+        assert main(["subseq", "--encode-blocks", str(rep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: power 2 of the morphism needs more than")
 
     def test_builtin_requires_op(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,15 +1,16 @@
 """Proof checking and rendering against frozen golden documents."""
 
 from dataclasses import replace
+from time import perf_counter
 
 import pytest
 
-from morpheq.formats import parse_problem
+from morpheq.formats import parse_problem, parse_proof
 from morpheq.proofdoc import check_proof, render_latex, render_text
 from morpheq.prover import Proof, SafePairTable, prove_general
 from morpheq.words import parse_word
 
-from conftest import read_fixture
+from conftest import FIB_CERTIFICATE_P34, read_fixture
 
 
 def proof_for(name: str) -> Proof:
@@ -79,6 +80,24 @@ class TestChecker:
         pairs[1] = ((), ())
         report = check_proof(with_table(proof, pairs, proof.table.decompositions))
         assert "nonempty" in {v.condition for v in report.violations}
+
+    def test_reports_symbols_outside_the_alphabet(self):
+        proof = proof_for("fib_three_letter.txt")
+        pairs = list(proof.table.pairs)
+        pairs[1] = ((5,), pairs[1][1])
+        report = check_proof(with_table(proof, pairs, proof.table.decompositions))
+        assert not report.ok
+        # Pair 0 decomposes through pair 1, whose word changed.
+        assert [(v.condition, v.pair) for v in report.violations] == [
+            ("alphabet", 1), ("f-decomposition", 0)
+        ]
+        assert report.violations[0].detail == "symbol 5 outside alphabet of size 2"
+
+    def test_reports_powers_over_budget_without_expanding(self):
+        start = perf_counter()
+        report = check_proof(parse_proof(FIB_CERTIFICATE_P34))
+        assert perf_counter() - start < 1
+        assert [(v.condition, v.pair) for v in report.violations] == [("budget", 0)]
 
 
 class TestRenderers:

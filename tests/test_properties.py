@@ -8,6 +8,7 @@ fewer; derandomization keeps every run identical.
 """
 
 from dataclasses import replace
+from itertools import islice
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -120,6 +121,8 @@ class TestSpectral:
         expansion = (f ** k).apply((a,))
         counts = tuple(expansion.count(s) for s in range(f.alphabet_size))
         assert parikh_vector(f, a, k) == counts
+        lengths = next(islice(f.power_lengths(), k - 1, None))
+        assert lengths == tuple(map(len, f.power(k).images))
 
 
 def reference_verdict(proof: Proof) -> bool:

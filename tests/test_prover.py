@@ -1,5 +1,7 @@
 """Safe-pair table construction and the two proving pipelines."""
 
+from time import perf_counter
+
 import pytest
 
 from morpheq.formats import parse_problem
@@ -11,13 +13,19 @@ from morpheq.prover import (
     ProverConfig,
     derive_table,
     find_initial_safe_pair,
-    is_safe_pair,
     prove_basic,
     prove_general,
 )
-from morpheq.words import Coding, Morphism, MorphicRep, NotProlongableError, parse_word
+from morpheq.words import (
+    Coding,
+    Morphism,
+    MorphicRep,
+    NotProlongableError,
+    PowerLimitError,
+    parse_word,
+)
 
-from conftest import read_fixture
+from conftest import UNIFORM_256_512, read_fixture
 
 
 def w(text: str):
@@ -25,17 +33,6 @@ def w(text: str):
 
 
 class TestSafePairs:
-    def test_safe_pair_is_the_double_length_condition(self):
-        f = Morphism.from_strings("010", "01")
-        g = Morphism.from_strings("02", "021", "102")
-        assert is_safe_pair(f, g, w("01"), w("02"))
-        assert not is_safe_pair(f, g, w("0"), w("0"))
-        assert not is_safe_pair(f, g, w("01"), w("0"))
-
-    def test_empty_pair_is_vacuously_safe(self):
-        f = Morphism.from_strings("010", "01")
-        assert is_safe_pair(f, f, (), ())
-
     def test_initial_pair_is_smallest_safe_prefix_pair(self):
         f = Morphism.from_strings("010", "01")
         g = Morphism.from_strings("02", "021", "102")
@@ -121,7 +118,7 @@ class TestProveGeneral:
         fp, gq = proof.scaled_f, proof.scaled_g
         for u, v in proof.table.pairs:
             assert len(u) == len(v) >= 1
-            assert is_safe_pair(fp, gq, u, v)
+            assert sum(len(fp.images[s]) for s in u) == sum(len(gq.images[s]) for s in v)
 
     def test_eigenvalue_mismatch_stage(self):
         problem = parse_problem(read_fixture("growth_mismatch.txt"))
@@ -142,6 +139,14 @@ class TestProveGeneral:
         )
         proof = prove_general(problem)
         assert proof.problem.f.alphabet_size == 2
+
+    def test_scaled_morphisms_over_budget_are_refused(self):
+        problem = parse_problem(UNIFORM_256_512)
+        start = perf_counter()
+        for prove in (prove_general, prove_basic):
+            with pytest.raises(PowerLimitError):
+                prove(problem)
+        assert perf_counter() - start < 1
 
     def test_determinism(self):
         problem = parse_problem(read_fixture("even_fib.txt"))
@@ -170,6 +175,21 @@ class TestProveBasic:
         with pytest.raises(ProveFailure) as exc:
             prove_basic(swapped)
         assert exc.value.stage is FailureStage.DECOMPOSITION_STUCK
+
+    def test_coded_words_that_differ_are_a_coding_mismatch(self):
+        fib = Morphism.from_strings("01", "0")
+        problem = EqualityProblem(fib, Coding.identity(2), fib, Coding.from_string("10"))
+        with pytest.raises(ProveFailure) as exc:
+            prove_basic(problem)
+        assert exc.value.stage is FailureStage.CODING_MISMATCH
+
+    def test_symbol_missing_within_horizon_is_decomposition_stuck(self):
+        fib = Morphism.from_strings("01", "0")
+        problem = EqualityProblem(fib, Coding.identity(2), fib, Coding.identity(2))
+        with pytest.raises(ProveFailure) as exc:
+            prove_basic(problem, ProverConfig(horizon=1))
+        assert exc.value.stage is FailureStage.DECOMPOSITION_STUCK
+        assert "symbol 1 does not occur in the first 1 symbols" in exc.value.detail
 
     def test_reflexive_problem_reads_u_from_images(self):
         fib = Morphism.from_strings("01", "0")

@@ -1,6 +1,7 @@
 """Words, morphisms, codings, fixed points."""
 
 import tracemalloc
+from time import perf_counter
 
 import pytest
 
@@ -9,12 +10,14 @@ from morpheq.words import (
     ALPHABET_LIMIT,
     CHUNK,
     POWER_BYTES,
+    POWER_LIMIT,
     AlphabetError,
     Coding,
     FixedPoint,
     Morphism,
     MorphicRep,
     NotProlongableError,
+    PowerLimitError,
     first_mismatch,
     format_word,
     parse_word,
@@ -69,6 +72,25 @@ def test_power():
     assert FIB.power(1) == FIB
     with pytest.raises(ValueError):
         FIB.power(0)
+
+
+def test_power_is_refused_before_expanding():
+    start = perf_counter()
+    for k in (34, 10**18):
+        with pytest.raises(PowerLimitError):
+            FIB.power(k)
+    # The images of f^2..f^k are counted, not those of f^k alone:
+    # 4 + 8 + ... + 2^19 is within the limit, and 2^20 more is not.
+    unary = Morphism.from_strings("00")
+    assert len(unary.power(19).images[0]) == POWER_LIMIT // 2
+    with pytest.raises(PowerLimitError):
+        unary.power(20)
+    assert perf_counter() - start < 1
+
+
+def test_power_lengths_follow_the_powers():
+    lengths = FIB.power_lengths()
+    assert [next(lengths) for _ in range(5)] == [(2, 1), (3, 2), (5, 3), (8, 5), (13, 8)]
 
 
 def test_fixed_point_prefix():
@@ -291,3 +313,33 @@ def test_byte_buffers_limit_the_alphabet():
         MorphicRep(too_wide, Coding.identity(ALPHABET_LIMIT + 1))
     with pytest.raises(AlphabetError, match="at most 256"):
         MorphicRep(FIB, Coding((0, 300), 301))
+
+
+@pytest.mark.parametrize("name", sorted(EXPANDED))
+def test_first_occurrences_match_a_scan(name):
+    f, a = EXPANDED[name]
+    prefix = naive_fixed_point(f, a, 3 * CHUNK)
+    expected = {}
+    for i, s in enumerate(prefix):
+        expected.setdefault(s, i)
+    found = FixedPoint(f, a).first_occurrences(3 * CHUNK)
+    assert list(found.items()) == list(expected.items())
+
+
+def test_first_occurrences():
+    assert FixedPoint(FIB, 0).first_occurrences(10) == {0: 0, 1: 1}
+    assert FixedPoint(FIB, 0).first_occurrences(1) == {0: 0}
+    assert FixedPoint(FIB, 0).first_occurrences(0) == {}
+    even_fib = FixedPoint(even_fib_rep().morphism, 0)
+    assert list(even_fib.first_occurrences(100).items()) == [(0, 0), (1, 1), (2, 2), (3, 3), (4, 6)]
+    # 2 first occurs past the first CHUNK symbols.
+    late = Morphism(((0,) + (1,) * CHUNK + (2,), (1,), (2,)))
+    assert FixedPoint(late, 0).first_occurrences(CHUNK + 1) == {0: 0, 1: 1}
+    assert FixedPoint(late, 0).first_occurrences(CHUNK + 2) == {0: 0, 1: 1, 2: CHUNK + 1}
+
+
+def test_first_occurrences_stop_after_the_last_symbol():
+    # 2 never occurs in the fixed point at 0, so no limit is ever reached.
+    s = FixedPoint(Morphism.from_strings("01", "0", "2"), 0)
+    assert s.first_occurrences(10**9) == {0: 0, 1: 1}
+    assert len(s) < 1000
