@@ -45,14 +45,7 @@ from .spectral import (
     is_primitive,
     parikh_vector,
 )
-from .subseq import (
-    BlockEncodingError,
-    arith_prefix,
-    block_encode,
-    even_prefix,
-    odd_length_power,
-    odd_prefix,
-)
+from .subseq import BlockEncodingError, arith_prefix, block_encode, odd_length_power
 from .words import (
     AlphabetError,
     Coding,
@@ -103,14 +96,12 @@ __all__ = [
     "derive_table",
     "equalize",
     "estimate_eigenvalue",
-    "even_prefix",
     "find_initial_safe_pair",
     "first_mismatch",
     "format_word",
     "incidence_matrix",
     "is_primitive",
     "odd_length_power",
-    "odd_prefix",
     "parikh_vector",
     "parse_problem",
     "parse_proof",

@@ -4,12 +4,13 @@ A small gallery of classic sequences used by the command line and the test
 suite: the Fibonacci word, the spiral-count sequence (1101001000100001...,
 ones separated by growing runs of zeros), and the minimal known coded
 representations of the even- and odd-indexed subsequences of the Fibonacci
-word.
+word.  Builtin targets select positions through subseq.arith_prefix;
+even-fib and odd-fib come from the Fibonacci word, not from those two reps.
 """
 
 from __future__ import annotations
 
-from .subseq import even_prefix, odd_prefix
+from .subseq import arith_prefix
 from .words import Coding, Morphism, MorphicRep, Word
 
 
@@ -43,17 +44,19 @@ def odd_fib_rep() -> MorphicRep:
     )
 
 
-BUILTIN_NAMES = ("fib", "even-fib", "odd-fib", "spir")
+# name -> (representation, first position, step)
+BUILTINS = {
+    "fib": (fib_rep, 0, 1),
+    "even-fib": (fib_rep, 0, 2),
+    "odd-fib": (fib_rep, 1, 2),
+    "spir": (spir_rep, 0, 1),
+}
+BUILTIN_NAMES = tuple(BUILTINS)
 
 
 def builtin_prefix(name: str, count: int) -> Word:
     """First count symbols of a named builtin sequence."""
-    if name == "fib":
-        return fib_rep().prefix(count)
-    if name == "even-fib":
-        return even_prefix(fib_rep(), count)
-    if name == "odd-fib":
-        return odd_prefix(fib_rep(), count)
-    if name == "spir":
-        return spir_rep().prefix(count)
-    raise ValueError(f"unknown builtin {name!r}; expected one of {', '.join(BUILTIN_NAMES)}")
+    if name not in BUILTINS:
+        raise ValueError(f"unknown builtin {name!r}; expected one of {', '.join(BUILTIN_NAMES)}")
+    rep, start, step = BUILTINS[name]
+    return arith_prefix(rep(), start, step, count)

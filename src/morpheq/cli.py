@@ -26,9 +26,9 @@ from .formats import (
     serialize_proof,
 )
 from .proofdoc import check_proof, render_latex, render_text
-from .prover import ProveFailure, ProverConfig, prove_basic, prove_general
-from .repsearch import SearchSpec, search
-from .subseq import block_encode, odd_length_power
+from .prover import MAX_PAIR_LEN, ProveFailure, ProverConfig, prove_basic, prove_general
+from .repsearch import MAX_ALPHABET, MAX_IMAGE_LEN, SearchSpec, search
+from .subseq import MAX_COUNT, MAX_ODD_POWER, arith_prefix, block_encode, odd_length_power
 from .words import MorphicRep, NotProlongableError, first_mismatch, format_word
 
 # Longest prefix verify-prefix compares.  Expansion keeps one byte per symbol
@@ -42,8 +42,8 @@ def _read(path: str) -> str:
 
 
 def _cmd_prove(args) -> int:
-    problem = parse_problem(_read(args.file))
     config = ProverConfig(tol=args.tol, max_pair_len=args.max_pair_len)
+    problem = parse_problem(_read(args.file))
     try:
         if args.basic:
             proof = prove_basic(problem, config)
@@ -99,7 +99,7 @@ def _cmd_subseq(args) -> int:
         f, coding = parse_rep(_read(args.encode_blocks))
         k = odd_length_power(f)
         if k is None:
-            print("no power up to 12 makes every image length odd", file=sys.stderr)
+            print(f"no power up to {MAX_ODD_POWER} makes every image length odd", file=sys.stderr)
             return 1
         g, first, second = block_encode(f.power(k))
         blocks = [
@@ -114,9 +114,9 @@ def _cmd_subseq(args) -> int:
         print(format_word(coding.apply(first.table)))
         print(format_word(coding.apply(second.table)))
         return 0
-    prefix = catalog.builtin_prefix(args.builtin, 2 * args.n)
-    picked = prefix[0::2][: args.n] if args.op == "even" else prefix[1::2][: args.n]
-    print(format_word(picked))
+    rep, start, step = catalog.BUILTINS[args.builtin]
+    parity = 0 if args.op == "even" else 1
+    print(format_word(arith_prefix(rep(), start + step * parity, 2 * step, args.n)))
     return 0
 
 
@@ -162,9 +162,14 @@ def build_parser() -> argparse.ArgumentParser:
     prove.add_argument("file", help="problem file")
     prove.add_argument("--basic", action="store_true", help="use the fixed per-symbol table shape")
     prove.add_argument("--format", choices=("text", "latex"), default="text")
-    prove.add_argument("--tol", type=float, default=ProverConfig.tol, help="growth-rate gap tolerance")
     prove.add_argument(
-        "--max-pair-len", type=int, default=ProverConfig.max_pair_len, help="longest safe pair considered"
+        "--tol", type=float, default=ProverConfig.tol, help="growth-rate gap tolerance, finite and positive"
+    )
+    prove.add_argument(
+        "--max-pair-len",
+        type=int,
+        default=ProverConfig.max_pair_len,
+        help=f"longest safe pair considered, 1 to {MAX_PAIR_LEN}",
     )
     prove.add_argument("--output", help="write the rendered proof here instead of stdout")
     prove.add_argument("--save-proof", help="also write the machine-checkable certificate here")
@@ -186,14 +191,21 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--builtin", choices=catalog.BUILTIN_NAMES)
     group.add_argument("--encode-blocks", metavar="FILE", help="representation file to block-encode")
     subseq.add_argument("--op", choices=("even", "odd"), help="which subsequence of the builtin")
-    subseq.add_argument("--n", type=int, default=32, help="how many symbols to print")
+    subseq.add_argument("--n", type=int, default=32, help=f"how many symbols to print, at most {MAX_COUNT}")
     subseq.set_defaults(func=_cmd_subseq)
 
     searchp = sub.add_parser("search", help="enumerate representations matching a target prefix")
     searchp.add_argument("--target", required=True, help="digit file or builtin name")
-    searchp.add_argument("--alphabet", type=int, required=True, help="alphabet size")
-    searchp.add_argument("--maxlen", type=int, required=True, help="maximum image length")
-    searchp.add_argument("--prefix", type=int, required=True, help="symbols of the target to match")
+    searchp.add_argument("--alphabet", type=int, required=True, help=f"alphabet size, at most {MAX_ALPHABET}")
+    searchp.add_argument(
+        "--maxlen", type=int, required=True, help=f"maximum image length, at most {MAX_IMAGE_LEN}"
+    )
+    searchp.add_argument(
+        "--prefix",
+        type=int,
+        required=True,
+        help=f"symbols of the target to match, at most {MAX_COUNT} of a builtin",
+    )
     searchp.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     searchp.set_defaults(func=_cmd_search)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 from .scaling import DEFAULT_TOLERANCE, equalize
@@ -55,6 +56,11 @@ class ProofMode(enum.Enum):
     BASIC = "basic"
 
 
+# Longest safe pair the prover considers.  Looking for one reads up to this
+# many symbols of each fixed point, so it bounds that time and memory.
+MAX_PAIR_LEN = 10**5
+
+
 @dataclass(frozen=True)
 class ProverConfig:
     max_pair_len: int = 10
@@ -63,6 +69,12 @@ class ProverConfig:
     horizon: int = 10**5
     tol: float = DEFAULT_TOLERANCE
     eigen_iterations: int = 8
+
+    def __post_init__(self):
+        if not 1 <= self.max_pair_len <= MAX_PAIR_LEN:
+            raise ValueError(
+                f"max_pair_len is {self.max_pair_len}; it must be between 1 and {MAX_PAIR_LEN}"
+            )
 
 
 @dataclass(frozen=True)
@@ -113,8 +125,8 @@ class SafePairTable:
 class Proof:
     """A checkable equality certificate for problem, at exponents (p, q).
 
-    The table speaks about f^p and g^q; those are recomputed from the stored
-    problem on demand rather than stored, so they cannot drift out of sync.
+    The table speaks about f^p and g^q; those are computed from the stored
+    problem on first use and never serialized, so they cannot drift out of sync.
     """
 
     problem: EqualityProblem
@@ -123,11 +135,11 @@ class Proof:
     table: SafePairTable
     mode: ProofMode = ProofMode.GENERAL
 
-    @property
+    @cached_property
     def scaled_f(self) -> Morphism:
         return self.problem.f.power(self.p)
 
-    @property
+    @cached_property
     def scaled_g(self) -> Morphism:
         return self.problem.g.power(self.q)
 

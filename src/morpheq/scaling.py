@@ -10,6 +10,7 @@ rational estimates; hardware floats are never consulted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
@@ -61,6 +62,8 @@ def equalize(
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if not math.isfinite(tol):
+        raise ValueError("tolerance must be finite")
     log_f = log_estimate(estimate_eigenvalue(f, 0, iterations))
     log_g = log_estimate(estimate_eigenvalue(g, 0, iterations))
     with localcontext() as ctx:

@@ -1,5 +1,9 @@
 """Arithmetic subsequences of morphic sequences and length-2 block encodings.
 
+arith_prefix is the one routine that selects positions from a coded
+sequence: the builtin targets and the command line go through it, and it
+refuses more than MAX_COUNT symbols before expanding anything.
+
 The even and odd subsequences of a pure morphic sequence are again morphic:
 upscale the morphism until every image has odd length, cut its fixed point
 into blocks of two symbols, and read the images blockwise.  Projecting each
@@ -16,30 +20,26 @@ class BlockEncodingError(ValueError):
     """The morphism does not meet the odd-image-length requirement."""
 
 
+# Most symbols arith_prefix returns; callers format them one at a time.
+MAX_COUNT = 10**6
+MAX_ODD_POWER = 12
+
+
 def arith_prefix(rep: MorphicRep, start: int, step: int, count: int) -> Word:
     """First count symbols of the subsequence at positions start, start+step, ..."""
-    if start < 0 or step < 1 or count < 0:
-        raise ValueError("need start >= 0, step >= 1, count >= 0")
-    if count == 0:
-        return ()
-    needed = start + step * (count - 1) + 1
-    return rep.prefix(needed)[start::step][:count]
+    if start < 0 or step < 1:
+        raise ValueError("need start >= 0 and step >= 1")
+    if not 0 <= count <= MAX_COUNT:
+        raise ValueError(f"count is {count}; it must be between 0 and {MAX_COUNT}")
+    return rep.prefix(start + step * count)[start::step]
 
 
-def even_prefix(rep: MorphicRep, count: int) -> Word:
-    return arith_prefix(rep, 0, 2, count)
-
-
-def odd_prefix(rep: MorphicRep, count: int) -> Word:
-    return arith_prefix(rep, 1, 2, count)
-
-
-def odd_length_power(f: Morphism, max_k: int = 12) -> int | None:
-    """Smallest k <= max_k with every |f^k(a)| odd, or None.
+def odd_length_power(f: Morphism) -> int | None:
+    """Smallest k <= MAX_ODD_POWER with every |f^k(a)| odd, or None.
 
     The lengths come from Morphism.power_lengths, so no image is expanded.
     """
-    for k, lengths in zip(range(1, max_k + 1), f.power_lengths()):
+    for k, lengths in zip(range(1, MAX_ODD_POWER + 1), f.power_lengths()):
         if all(x % 2 for x in lengths):
             return k
     return None

@@ -7,8 +7,12 @@ from time import perf_counter
 
 import pytest
 
+from morpheq.catalog import fib_rep, spir_rep
 from morpheq.cli import MAX_PREFIX, main
-from morpheq.words import CHUNK
+from morpheq.prover import MAX_PAIR_LEN
+from morpheq.repsearch import MAX_ALPHABET, MAX_IMAGE_LEN
+from morpheq.subseq import MAX_COUNT
+from morpheq.words import CHUNK, Morphism, format_word
 
 from conftest import FIB_CERTIFICATE_P34, FIXTURES, UNIFORM_256_512
 
@@ -96,6 +100,38 @@ class TestProve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: power 9 of the morphism needs more than 1048576 image symbols\n"
+
+    def test_builds_each_scaled_power_once_per_proof(self, capsys, monkeypatch):
+        built = []
+        power = Morphism.power
+
+        def counting_power(self, k):
+            built.append(k)
+            return power(self, k)
+
+        monkeypatch.setattr(Morphism, "power", counting_power)
+        assert main(["prove", fixture_path("fib_three_letter.txt")]) == 0
+        # f^2 and g^1 for the prover, then once more for the Proof, whose
+        # powers the checker and the renderer share.
+        assert built == [2, 1, 2, 1]
+
+    def test_max_pair_len_is_bounded(self, capsys):
+        path = fixture_path("linear_growth.txt")
+        start = perf_counter()
+        assert main(["prove", path, "--max-pair-len", str(MAX_PAIR_LEN + 1)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: max_pair_len is {MAX_PAIR_LEN + 1}; it must be between 1 and {MAX_PAIR_LEN}\n"
+        )
+        assert main(["prove", path, "--max-pair-len", str(MAX_PAIR_LEN)]) == 1
+        assert perf_counter() - start < 1
+        assert capsys.readouterr().out == (
+            f"gave up: no-initial-safe-pair: no safe prefix pair up to length {MAX_PAIR_LEN}\n"
+        )
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_tolerance_must_be_finite(self, capsys, tol):
+        assert main(["prove", fixture_path("fib_three_letter.txt"), "--tol", tol]) == 2
+        assert capsys.readouterr().err == "error: tolerance must be finite\n"
 
 
 class TestCheck:
@@ -210,6 +246,30 @@ class TestSubseq:
         assert captured.out == ""
         assert captured.err.startswith("error: power 2 of the morphism needs more than")
 
+    @pytest.mark.parametrize("n", [0, 1, 16, 1000])
+    @pytest.mark.parametrize("op", ["even", "odd"])
+    @pytest.mark.parametrize("builtin", ["fib", "even-fib", "odd-fib", "spir"])
+    def test_builtin_is_a_slice_of_the_expansion(self, capsys, builtin, op, n):
+        # 4n symbols of the defining sequence cover 2n of every builtin.
+        base = {"fib": fib_rep, "even-fib": fib_rep, "odd-fib": fib_rep, "spir": spir_rep}
+        expanded = base[builtin]().prefix(4 * n)
+        if builtin == "even-fib":
+            expanded = expanded[0::2]
+        elif builtin == "odd-fib":
+            expanded = expanded[1::2]
+        picked = expanded[0::2] if op == "even" else expanded[1::2]
+        assert main(["subseq", "--builtin", builtin, "--op", op, "--n", str(n)]) == 0
+        assert capsys.readouterr().out == format_word(picked[:n]) + "\n"
+
+    def test_count_is_bounded(self, capsys):
+        start = perf_counter()
+        code = main(["subseq", "--builtin", "odd-fib", "--op", "odd", "--n", str(MAX_COUNT + 1)])
+        assert perf_counter() - start < 1
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: count is {MAX_COUNT + 1}; it must be between 0 and {MAX_COUNT}\n"
+        )
+
     def test_builtin_requires_op(self):
         with pytest.raises(SystemExit) as exc:
             main(["subseq", "--builtin", "fib"])
@@ -230,7 +290,6 @@ class TestSearch:
 
     def test_digit_file_target(self, capsys, tmp_path):
         from morpheq.catalog import builtin_prefix
-        from morpheq.words import format_word
 
         target = tmp_path / "fib.digits"
         target.write_text(format_word(builtin_prefix("fib", 30)) + "\n")
@@ -277,12 +336,78 @@ class TestSearch:
         assert code == 2
         assert "digits only" in capsys.readouterr().err
 
+    def test_builtin_prefix_is_bounded(self, capsys):
+        start = perf_counter()
+        code = main(
+            ["search", "--target", "spir", "--alphabet", "3", "--maxlen", "2",
+             "--prefix", str(MAX_COUNT + 1)]
+        )
+        assert perf_counter() - start < 1
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: count is {MAX_COUNT + 1}; it must be between 0 and {MAX_COUNT}\n"
+        )
+
     def test_guard_violations_exit_2(self, capsys):
         code = main(
             ["search", "--target", "fib", "--alphabet", "7", "--maxlen", "2", "--prefix", "10"]
         )
         assert code == 2
         assert "error: alphabet size 7 exceeds the guard 6" in capsys.readouterr().err
+
+
+FIB_THREE = fixture_path("fib_three_letter.txt")
+SEARCH_FIB = ["search", "--target", "fib"]
+
+# Every int and float argument: the command line before it, its option, the
+# limit its --help must name (None for --jobs, which has none) and the values
+# fed to it.  --jobs gets small values only, so no worker pool starts.
+NUMERIC_ARGUMENTS = [
+    (["verify-prefix", FIB_THREE], "--n", str(MAX_PREFIX), [-1, 0, MAX_PREFIX + 1, 10**18]),
+    (["subseq", "--builtin", "odd-fib", "--op", "odd"], "--n", str(MAX_COUNT),
+     [-1, 0, MAX_COUNT + 1, 10**18]),
+    (SEARCH_FIB + ["--maxlen", "2", "--prefix", "10"], "--alphabet", str(MAX_ALPHABET),
+     [-1, 0, MAX_ALPHABET + 1, 10**18]),
+    (SEARCH_FIB + ["--alphabet", "2", "--prefix", "10"], "--maxlen", str(MAX_IMAGE_LEN),
+     [-1, 0, MAX_IMAGE_LEN + 1, 10**18]),
+    (SEARCH_FIB + ["--alphabet", "2", "--maxlen", "2"], "--prefix", str(MAX_COUNT),
+     [-1, 0, MAX_COUNT + 1, 10**18]),
+    (SEARCH_FIB + ["--alphabet", "2", "--maxlen", "2", "--prefix", "10"], "--jobs", None, [-1, 0, 1]),
+    (["prove", fixture_path("linear_growth.txt")], "--max-pair-len", str(MAX_PAIR_LEN),
+     [-1, 0, MAX_PAIR_LEN + 1, 10**18]),
+    (["prove", FIB_THREE], "--tol", "finite and positive", [-1, 0, "nan", "inf", 10**18]),
+]
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize(
+        "argv, option, value",
+        [
+            pytest.param(argv, option, value, id=f"{argv[0]} {option} {value}")
+            for argv, option, _, values in NUMERIC_ARGUMENTS
+            for value in values
+        ],
+    )
+    def test_every_value_ends_in_a_documented_exit(self, capsys, argv, option, value):
+        start = perf_counter()
+        try:
+            code = main(argv + [option, str(value)])
+        except SystemExit as exc:
+            code = exc.code
+        assert perf_counter() - start < 1
+        assert code in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, option, limit",
+        [(argv[0], option, limit) for argv, option, limit, _ in NUMERIC_ARGUMENTS if limit],
+    )
+    def test_help_names_each_limit(self, capsys, command, option, limit):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        options = text[text.index("options:"):]
+        assert limit in options.split(f" {option} ", 1)[1].split(" --", 1)[0]
 
 
 class TestConsoleScript:

@@ -24,7 +24,7 @@ from morpheq.prover import (
 )
 from morpheq.repsearch import canonical_form
 from morpheq.spectral import incidence_matrix, mat_mul, parikh_vector
-from morpheq.subseq import block_encode, even_prefix, odd_prefix
+from morpheq.subseq import arith_prefix, block_encode
 from morpheq.words import Coding, FixedPoint, Morphism, MorphicRep
 
 from conftest import read_fixture
@@ -294,8 +294,8 @@ class TestBlockEncoding:
         g, first, second = block_encode(f)
         through_first = Coding(tuple(tau.table[s] for s in first.table), 3)
         through_second = Coding(tuple(tau.table[s] for s in second.table), 3)
-        assert MorphicRep(g, through_first).prefix(10**4) == even_prefix(rep, 10**4)
-        assert MorphicRep(g, through_second).prefix(10**4) == odd_prefix(rep, 10**4)
+        assert MorphicRep(g, through_first).prefix(10**4) == arith_prefix(rep, 0, 2, 10**4)
+        assert MorphicRep(g, through_second).prefix(10**4) == arith_prefix(rep, 1, 2, 10**4)
 
     @SUITE
     @given(odd_image_instances())

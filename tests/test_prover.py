@@ -6,6 +6,7 @@ import pytest
 
 from morpheq.formats import parse_problem
 from morpheq.prover import (
+    MAX_PAIR_LEN,
     EqualityProblem,
     FailureStage,
     ProofMode,
@@ -151,6 +152,21 @@ class TestProveGeneral:
     def test_determinism(self):
         problem = parse_problem(read_fixture("even_fib.txt"))
         assert prove_general(problem) == prove_general(problem)
+
+
+class TestProverConfig:
+    @pytest.mark.parametrize("length", [-5, 0, MAX_PAIR_LEN + 1, 10**18])
+    def test_pair_length_outside_its_range_is_refused(self, length):
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_PAIR_LEN}"):
+            ProverConfig(max_pair_len=length)
+
+    def test_longest_pair_length_gives_up_quickly(self):
+        problem = parse_problem(read_fixture("linear_growth.txt"))
+        start = perf_counter()
+        with pytest.raises(ProveFailure) as exc:
+            prove_general(problem, ProverConfig(max_pair_len=MAX_PAIR_LEN))
+        assert perf_counter() - start < 1
+        assert exc.value.stage is FailureStage.NO_INITIAL_SAFE_PAIR
 
 
 class TestProveBasic:

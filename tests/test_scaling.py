@@ -64,6 +64,12 @@ def test_tolerance_is_a_knob():
         equalize(FIB, FIB, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_tolerance_must_be_finite(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        equalize(FIB, FIB, tol=tol)
+
+
 def test_result_gap_matches_reported_pair():
     result = equalize(FIB, THREE_LETTER_G)
     assert result.achieved_gap < 5e-3

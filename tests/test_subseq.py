@@ -1,5 +1,7 @@
 """Arithmetic subsequences, odd-length powers, and block encodings."""
 
+from time import perf_counter
+
 import pytest
 
 from morpheq.catalog import (
@@ -11,12 +13,11 @@ from morpheq.catalog import (
     spir_rep,
 )
 from morpheq.subseq import (
+    MAX_COUNT,
     BlockEncodingError,
     arith_prefix,
     block_encode,
-    even_prefix,
     odd_length_power,
-    odd_prefix,
 )
 from morpheq.words import Coding, Morphism, MorphicRep, format_word, parse_word
 
@@ -31,10 +32,10 @@ SPIR_15 = "110100100010000"
 
 class TestArithPrefix:
     def test_even_fib_frozen(self):
-        assert format_word(even_prefix(fib_rep(), 35)) == EVEN_FIB_35
+        assert format_word(arith_prefix(fib_rep(), 0, 2, 35)) == EVEN_FIB_35
 
     def test_odd_fib_frozen(self):
-        assert format_word(odd_prefix(fib_rep(), 10)) == ODD_FIB_10
+        assert format_word(arith_prefix(fib_rep(), 1, 2, 10)) == ODD_FIB_10
 
     def test_general_step_matches_pointwise_reads(self):
         rep = spir_rep()
@@ -44,8 +45,8 @@ class TestArithPrefix:
 
     def test_even_and_odd_interleave_to_original(self):
         rep = fib_rep()
-        even = even_prefix(rep, 30)
-        odd = odd_prefix(rep, 30)
+        even = arith_prefix(rep, 0, 2, 30)
+        odd = arith_prefix(rep, 1, 2, 30)
         merged = [s for pair in zip(even, odd) for s in pair]
         assert tuple(merged) == rep.prefix(60)
 
@@ -59,6 +60,14 @@ class TestArithPrefix:
             arith_prefix(fib_rep(), 0, 0, 5)
         with pytest.raises(ValueError):
             arith_prefix(fib_rep(), 0, 2, -2)
+
+    def test_count_is_bounded_before_expanding(self):
+        start = perf_counter()
+        for count in (MAX_COUNT + 1, 10**18):
+            with pytest.raises(ValueError, match=f"between 0 and {MAX_COUNT}"):
+                arith_prefix(fib_rep(), 1, 2, count)
+        assert perf_counter() - start < 1
+        assert len(arith_prefix(fib_rep(), 0, 1, MAX_COUNT)) == MAX_COUNT
 
 
 class TestOddLengthPower:
@@ -104,8 +113,8 @@ class TestBlockEncode:
 
     def test_projections_recover_pure_subsequences(self):
         g, first, second = block_encode(FIB ** 3)
-        assert MorphicRep(g, first).prefix(500) == even_prefix(fib_rep(), 500)
-        assert MorphicRep(g, second).prefix(500) == odd_prefix(fib_rep(), 500)
+        assert MorphicRep(g, first).prefix(500) == arith_prefix(fib_rep(), 0, 2, 500)
+        assert MorphicRep(g, second).prefix(500) == arith_prefix(fib_rep(), 1, 2, 500)
 
     def test_projections_compose_with_outer_coding(self):
         # A coded sequence: the Fibonacci word written over three letters.
@@ -118,8 +127,8 @@ class TestBlockEncode:
         g, first, second = block_encode(base ** k)
         through_first = Coding(tuple(tau.table[s] for s in first.table), 2)
         through_second = Coding(tuple(tau.table[s] for s in second.table), 2)
-        assert MorphicRep(g, through_first).prefix(300) == even_prefix(rep, 300)
-        assert MorphicRep(g, through_second).prefix(300) == odd_prefix(rep, 300)
+        assert MorphicRep(g, through_first).prefix(300) == arith_prefix(rep, 0, 2, 300)
+        assert MorphicRep(g, through_second).prefix(300) == arith_prefix(rep, 1, 2, 300)
 
 
 class TestCatalog:
@@ -136,14 +145,14 @@ class TestCatalog:
         assert ones == [p for p in expected if p < 100]
 
     def test_even_fib_builtin_matches_subsequence(self):
-        assert builtin_prefix("even-fib", 200) == even_prefix(fib_rep(), 200)
+        assert builtin_prefix("even-fib", 200) == fib_rep().prefix(400)[0::2]
 
     def test_odd_fib_builtin_matches_subsequence(self):
-        assert builtin_prefix("odd-fib", 200) == odd_prefix(fib_rep(), 200)
+        assert builtin_prefix("odd-fib", 200) == fib_rep().prefix(400)[1::2]
 
     def test_catalog_reps_generate_their_sequences(self):
-        assert even_fib_rep().prefix(1000) == even_prefix(fib_rep(), 1000)
-        assert odd_fib_rep().prefix(1000) == odd_prefix(fib_rep(), 1000)
+        assert even_fib_rep().prefix(1000) == arith_prefix(fib_rep(), 0, 2, 1000)
+        assert odd_fib_rep().prefix(1000) == arith_prefix(fib_rep(), 1, 2, 1000)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown builtin"):
