@@ -29,11 +29,7 @@ from .proofdoc import check_proof, render_latex, render_text
 from .prover import MAX_PAIR_LEN, ProveFailure, ProverConfig, prove_basic, prove_general
 from .repsearch import MAX_ALPHABET, MAX_IMAGE_LEN, SearchSpec, search
 from .subseq import MAX_COUNT, MAX_ODD_POWER, arith_prefix, block_encode, odd_length_power
-from .words import MorphicRep, NotProlongableError, first_mismatch, format_word
-
-# Longest prefix verify-prefix compares.  Expansion keeps one byte per symbol
-# and side, so this bounds its memory (about 210 MB at the limit).
-MAX_PREFIX = 10**8
+from .words import MAX_PREFIX, MorphicRep, NotProlongableError, first_mismatch, format_word
 
 
 def _read(path: str) -> str:

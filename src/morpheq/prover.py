@@ -61,6 +61,11 @@ class ProofMode(enum.Enum):
 MAX_PAIR_LEN = 10**5
 
 
+def _check_pair_len(max_len: int) -> None:
+    if not 1 <= max_len <= MAX_PAIR_LEN:
+        raise ValueError(f"max_pair_len is {max_len}; it must be between 1 and {MAX_PAIR_LEN}")
+
+
 @dataclass(frozen=True)
 class ProverConfig:
     max_pair_len: int = 10
@@ -71,10 +76,7 @@ class ProverConfig:
     eigen_iterations: int = 8
 
     def __post_init__(self):
-        if not 1 <= self.max_pair_len <= MAX_PAIR_LEN:
-            raise ValueError(
-                f"max_pair_len is {self.max_pair_len}; it must be between 1 and {MAX_PAIR_LEN}"
-            )
+        _check_pair_len(self.max_pair_len)
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,12 @@ def _smallest_safe_cut(fw, gw, flen_of: tuple[int, ...], glen_of: tuple[int, ...
 def find_initial_safe_pair(
     f: Morphism, g: Morphism, max_len: int = 10
 ) -> tuple[Word, Word]:
-    """Smallest equal-length prefixes of the two fixed points forming a safe pair."""
+    """Smallest equal-length prefixes of the two fixed points forming a safe pair.
+
+    Reads max_len symbols of each fixed point; max_len must lie in
+    1..MAX_PAIR_LEN, as in ProverConfig.
+    """
+    _check_pair_len(max_len)
     sf = FixedPoint(f, 0)
     sg = FixedPoint(g, 0)
     positions = range(max_len)

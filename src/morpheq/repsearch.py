@@ -20,14 +20,18 @@ at prefix_len.  An image is viable only if each of its symbols whose coding
 is known, or was forced earlier in the same image, codes the target symbol
 it lands on; the others are dropped without descending.  The viable images
 depend only on the largest symbol seen, the coding so far and those target
-symbols, so they are cached under that key by a searcher that lives for one
-search() call.
+symbols, so they are cached under that key by a searcher.  One searcher
+serves a whole in-process search() call, or a whole pool worker process:
+the pool initializer builds it, so its cache lasts across all the tasks
+that worker runs and ends with the pool.
 
 Task split: the walk from each image of 0 to its first branch point has no
 choices, so the search splits there into one task per viable image.  The
 same task list runs in process for one job and over a process pool
 otherwise, with at most one worker per task and per CPU; tasks that
-introduce more symbols tend to be larger and go first.
+introduce more symbols tend to be larger and go first.  Each task's results
+are turned into FoundReps as soon as they arrive, so with a pool that work
+overlaps the walk; results with the same coding table share one Coding.
 
 A result is reported only when every image was consumed while deriving the
 prefix, i.e. when the match leaves no free choice open.  Results come back
@@ -129,8 +133,8 @@ _Result = tuple[tuple[Word, ...], tuple[int, ...]]
 class _Searcher:
     """Depth-first walk over partial assignments for one target.
 
-    Holds the viable-image cache, so an instance never outlives the search()
-    call that made it.
+    Holds the viable-image cache, so an instance lives for one in-process
+    search() call or one pool worker process, and never outlives the pool.
     """
 
     def __init__(self, target: Word, n: int, max_len: int, prefix_len: int):
@@ -279,31 +283,48 @@ class _Searcher:
         self.max_seen = seen
 
 
-def _search_task(args: tuple[Word, int, int, int, _Task]) -> list[_Result]:
-    target, n, max_len, prefix_len, task = args
-    return _Searcher(target, n, max_len, prefix_len).run(task)
+# The searcher of a pool worker process, built once by _start_worker.
+_worker: _Searcher | None = None
+
+
+def _start_worker(target: Word, n: int, max_len: int, prefix_len: int) -> None:
+    global _worker
+    _worker = _Searcher(target, n, max_len, prefix_len)
+
+
+def _search_task(task: _Task) -> list[_Result]:
+    return _worker.run(task)  # type: ignore[union-attr]
 
 
 def search(spec: SearchSpec) -> list[FoundRep]:
     """All representations matching the target prefix, exhaustively."""
     target = spec.target[: spec.prefix_len]
-    searcher = _Searcher(target, spec.alphabet_size, spec.max_image_len, spec.prefix_len)
+    shape = (target, spec.alphabet_size, spec.max_image_len, spec.prefix_len)
+    searcher = _Searcher(*shape)
     tasks = searcher.tasks()
-    raw = [searcher.results]  # from roots whose walk had no branch point
+    target_size = max(spec.target) + 1
+    codings: dict[tuple[int, ...], Coding] = {}
+    found: list[FoundRep] = []
+
+    def collect(chunk: list[_Result]) -> None:
+        for images, table in chunk:
+            coding = codings.get(table)
+            if coding is None:
+                coding = codings[table] = Coding(table, target_size)
+            f = Morphism(images)
+            found.append(FoundRep(f, coding, complexity(f)))
+
+    collect(searcher.results)  # from roots whose walk had no branch point
     workers = min(spec.jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        raw.extend(searcher.run(t) for t in tasks)
+        for task in tasks:
+            collect(searcher.run(task))
     else:
-        args = [(target, spec.alphabet_size, spec.max_image_len, spec.prefix_len, t) for t in tasks]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            raw.extend(pool.map(_search_task, args))
-
-    target_size = max(spec.target) + 1
-    found = []
-    for chunk in raw:
-        for images, coding in chunk:
-            f = Morphism(images)
-            found.append(FoundRep(f, Coding(coding, target_size), complexity(f)))
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_worker, initargs=shape
+        ) as pool:
+            for chunk in pool.map(_search_task, tasks):
+                collect(chunk)
     found.sort(key=lambda r: (r.complexity, r.morphism.images, r.coding.table))
     return found
 

@@ -40,6 +40,10 @@ POWER_BYTES = 1 << 8
 # Most symbols Morphism.power writes, summed over the images of f^2, ..., f^k
 # it builds on the way to f^k.
 POWER_LIMIT = 1 << 20
+# Longest prefix of a coded fixed point that verify-prefix compares and that
+# subseq.arith_prefix reads.  Expansion keeps one byte per symbol, so this
+# bounds the memory of either (about 210 MB for two sides at the limit).
+MAX_PREFIX = 10**8
 
 
 class AlphabetError(ValueError):

@@ -276,6 +276,21 @@ class TestSubseq:
         assert exc.value.code == 2
 
 
+# Builtin target, result count, sha256 of stdout and --jobs.
+PINNED_SEARCHES = [
+    ("even-fib", 7, "9c712bf318adfa67da4288ac769c2c6d7413194315eddf9869022d282d6fceb6", 1),
+    ("odd-fib", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    ("spir", 166, "62cb3ba3b76191bd8a4a712b0f678103956c397abec82955d04c10e6af7ded5a", 1),
+    ("fib", 21174, "19cb3bc3c41120ed51118094b3fbe896bcff443fcfd4c6b3d3a6a5c2e5cbd584", 1),
+    ("fib", 21174, "19cb3bc3c41120ed51118094b3fbe896bcff443fcfd4c6b3d3a6a5c2e5cbd584", 2),
+]
+
+
+def pinned_search_id(builtin, count, sha256, jobs):
+    """builtin-count-sha256, with -jobsN appended when N is above 1."""
+    return f"{builtin}-{count}-{sha256}" + (f"-jobs{jobs}" if jobs > 1 else "")
+
+
 class TestSearch:
     EXPECTED_OUT = "complexity 3\n2\n01\n0\n01\n"
 
@@ -310,17 +325,14 @@ class TestSearch:
         assert capsys.readouterr().out == self.EXPECTED_OUT
 
     @pytest.mark.parametrize(
-        "builtin, count, sha256",
-        [
-            ("even-fib", 7, "9c712bf318adfa67da4288ac769c2c6d7413194315eddf9869022d282d6fceb6"),
-            ("odd-fib", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-            ("spir", 166, "62cb3ba3b76191bd8a4a712b0f678103956c397abec82955d04c10e6af7ded5a"),
-        ],
+        "builtin, count, sha256, jobs",
+        [pytest.param(*pin, id=pinned_search_id(*pin)) for pin in PINNED_SEARCHES],
     )
-    def test_result_lists_are_pinned(self, capsys, builtin, count, sha256):
+    def test_result_lists_are_pinned(self, capsys, builtin, count, sha256, jobs):
         """Printed result lists at alphabet 5, image length 3, prefix 60."""
         code = main(
-            ["search", "--target", builtin, "--alphabet", "5", "--maxlen", "3", "--prefix", "60"]
+            ["search", "--target", builtin, "--alphabet", "5", "--maxlen", "3", "--prefix", "60",
+             "--jobs", str(jobs)]
         )
         assert code == 0
         captured = capsys.readouterr()

@@ -59,6 +59,19 @@ class TestSafePairs:
             find_initial_safe_pair(fib, other, max_len=2)
         assert exc.value.stage is FailureStage.NO_INITIAL_SAFE_PAIR
 
+    @pytest.mark.parametrize("length", [0, 10**6])
+    def test_length_budget_outside_its_range_is_refused(self, length):
+        """Refused before reading anything: under 1 ms, best of three tries."""
+        fib = Morphism.from_strings("01", "0")
+        message = f"max_pair_len is {length}; it must be between 1 and {MAX_PAIR_LEN}"
+        times = []
+        for _ in range(3):
+            start = perf_counter()
+            with pytest.raises(ValueError, match=message):
+                find_initial_safe_pair(fib, fib, max_len=length)
+            times.append(perf_counter() - start)
+        assert min(times) < 1e-3
+
 
 class TestDeriveTable:
     def test_two_pair_closure(self):

@@ -90,21 +90,8 @@ class TestSearch:
     def test_worker_count_is_capped(self, monkeypatch, jobs, cpus, workers):
         """min(jobs, tasks, CPUs) workers; none when that is one. Starts no process."""
         started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(repsearch.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(repsearch.concurrent.futures, "ProcessPoolExecutor", recording_pool(started))
+        monkeypatch.setattr(repsearch, "_worker", None)
         monkeypatch.setattr(repsearch.os, "cpu_count", lambda: cpus)
         target = fib_rep().prefix(30)
         spec = SearchSpec(target=target, alphabet_size=3, max_image_len=3, prefix_len=30, jobs=jobs)
@@ -113,6 +100,65 @@ class TestSearch:
         assert search(spec) == search(dataclasses.replace(spec, jobs=1))
         expected = tasks if workers == "tasks" else workers
         assert started == ([expected] if expected else [])
+
+    def test_each_worker_builds_one_searcher(self, monkeypatch):
+        """One searcher in the parent and one per worker, however many tasks."""
+        built = []
+
+        class CountingSearcher(repsearch._Searcher):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        started = []
+        monkeypatch.setattr(repsearch.concurrent.futures, "ProcessPoolExecutor", recording_pool(started))
+        monkeypatch.setattr(repsearch, "_worker", None)
+        monkeypatch.setattr(repsearch.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(repsearch, "_Searcher", CountingSearcher)
+        target = fib_rep().prefix(30)
+        spec = SearchSpec(target=target, alphabet_size=3, max_image_len=3, prefix_len=30, jobs=2)
+        tasks = len(repsearch._Searcher(target, 3, 3, 30).tasks())
+        built.clear()
+        res = search(spec)
+        assert started == [2] and tasks > 2
+        assert len(built) == 1 + 1
+        assert res == search(dataclasses.replace(spec, jobs=1))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_equal_coding_tables_share_one_coding(self, jobs):
+        target = fib_rep().prefix(40)
+        res = search(
+            SearchSpec(target=target, alphabet_size=4, max_image_len=3, prefix_len=40, jobs=jobs)
+        )
+        by_table = {}
+        for rep in res:
+            by_table.setdefault(rep.coding.table, set()).add(id(rep.coding))
+        assert len(res) > len(by_table) > 1
+        assert all(len(ids) == 1 for ids in by_table.values())
+
+
+def recording_pool(started):
+    """Stand-in for ProcessPoolExecutor that runs as one worker in process.
+
+    Records max_workers in started and calls the initializer once, as a
+    single worker process would before its first task.
+    """
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return RecordingPool
 
 
 def forced_coding(images, target, prefix_len):

@@ -19,7 +19,7 @@ from morpheq.subseq import (
     block_encode,
     odd_length_power,
 )
-from morpheq.words import Coding, Morphism, MorphicRep, format_word, parse_word
+from morpheq.words import MAX_PREFIX, Coding, Morphism, MorphicRep, format_word, parse_word
 
 FIB = Morphism.from_strings("01", "0")
 
@@ -68,6 +68,13 @@ class TestArithPrefix:
                 arith_prefix(fib_rep(), 1, 2, count)
         assert perf_counter() - start < 1
         assert len(arith_prefix(fib_rep(), 0, 1, MAX_COUNT)) == MAX_COUNT
+
+    def test_positions_read_are_bounded_before_expanding(self):
+        start = perf_counter()
+        for first, step, count in ((0, 10**12, 10), (1, MAX_PREFIX // 10, 10)):
+            with pytest.raises(ValueError, match=f"at most {MAX_PREFIX} symbols"):
+                arith_prefix(fib_rep(), first, step, count)
+        assert perf_counter() - start < 1
 
 
 class TestOddLengthPower:
