@@ -25,13 +25,24 @@ serves a whole in-process search() call, or a whole pool worker process:
 the pool initializer builds it, so its cache lasts across all the tasks
 that worker runs and ends with the pool.
 
+Landing check: the length k of the new image alone fixes where the
+buffered symbols after the branch point land, up to the next other symbol
+without an image.  Each symbol with an image appends its coded image there,
+and each later copy of the branching symbol appends the new image again,
+which codes the target window it first lands on.  So once per length a
+branch point matches those known images and those extra landings against
+the target, below prefix_len, and drops every image of a length that fails
+before walking any.  The walk would reject each of them before its next
+symbol without an image, so no result is lost.
+
 Task split: the walk from each image of 0 to its first branch point has no
-choices, so the search splits there into one task per viable image.  The
-same task list runs in process for one job and over a process pool
-otherwise, with at most one worker per task and per CPU; tasks that
-introduce more symbols tend to be larger and go first.  Each task's results
-are turned into FoundReps as soon as they arrive, so with a pool that work
-overlaps the walk; results with the same coding table share one Coding.
+choices, so the search splits there into one task per image that passes
+both checks.  The same task list runs in process for one job and over a
+process pool otherwise, with at most one worker per task and per CPU; tasks
+that introduce more symbols tend to be larger and go first.  Each task's
+results are turned into FoundReps as soon as they arrive, so with a pool
+that work overlaps the walk; results with the same coding table share one
+Coding.
 
 A result is reported only when every image was consumed while deriving the
 prefix, i.e. when the match leaves no free choice open.  Results come back
@@ -44,7 +55,7 @@ import concurrent.futures
 import os
 from dataclasses import dataclass
 
-from .words import Coding, FixedPoint, Morphism, Word, rename_symbols
+from .words import ALPHABET_LIMIT, Coding, FixedPoint, Morphism, Word, rename_symbols
 
 MAX_ALPHABET = 6
 MAX_IMAGE_LEN = 3
@@ -64,6 +75,12 @@ class SearchSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "target", tuple(self.target))
+        for i, x in enumerate(self.target):
+            if not (isinstance(x, int) and 0 <= x < ALPHABET_LIMIT):
+                raise ValueError(
+                    f"target symbol {x!r} at position {i} is not an int"
+                    f" in 0..{ALPHABET_LIMIT - 1}"
+                )
         if self.alphabet_size < 1 or self.max_image_len < 1:
             raise ValueError("alphabet size and image length must be positive")
         if self.alphabet_size > MAX_ALPHABET:
@@ -159,7 +176,7 @@ class _Searcher:
         out: list[_Task] = []
         for root in self._roots():
             if self._start(root):
-                out.extend((root, fit) for fit in self._fits())
+                out.extend((root, fit) for fit in self._choices())
         # Every symbol seen but without an image is a branch point below, so
         # tasks whose first image leaves a larger symbol seen tend to be
         # larger: run them first.
@@ -226,6 +243,54 @@ class _Searcher:
             self._viable[key] = fits
         return fits
 
+    def _choices(self) -> list[_Fit]:
+        """The viable images for the symbol at ptr whose length passes _lands."""
+        lengths = [k for k in range(1, self.max_len + 1) if self._lands(k)]
+        if not lengths:
+            return []
+        fits = self._fits()
+        if len(lengths) == self.max_len:
+            return fits
+        return [fit for fit in fits if len(fit[0]) in lengths]
+
+    def _lands(self, k: int) -> bool:
+        """Whether an image of length k for the symbol s at ptr survives the tail.
+
+        The buffered symbols after ptr, up to the next symbol other than s
+        without an image, append at offsets that only k fixes: a known image
+        appends its coded image, another s a copy of the new image.  The new
+        image codes the target window it first lands on, so each copy must
+        meet that window again.  Only positions below the prefix count, as in
+        the walk.
+        """
+        buf = self.buf
+        coding = self.coding
+        target = self.target
+        images = self.images
+        N = self.N
+        s = buf[self.ptr]
+        size = len(buf)
+        pos = size + k
+        for x in buf[self.ptr + 1 :]:
+            if pos >= N:
+                break
+            if x == s:
+                m = min(k, N - pos)
+                if target[pos : pos + m] != target[size : size + m]:
+                    return False
+                pos += k
+                continue
+            image = images[x]
+            if image is None:
+                break
+            for y in image:
+                if coding[y] != target[pos]:
+                    return False
+                pos += 1
+                if pos == N:
+                    break
+        return True
+
     def _walk(self) -> bool:
         """Consume symbols whose image is chosen, matching what they append.
 
@@ -274,7 +339,7 @@ class _Searcher:
             self.ptr = ptr + 1
             self.max_seen = top
             if self._walk():
-                self._branch(self._fits())
+                self._branch(self._choices())
             del buf[size:]
             for x, _ in fresh:
                 coding[x] = None

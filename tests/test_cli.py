@@ -276,19 +276,25 @@ class TestSubseq:
         assert exc.value.code == 2
 
 
-# Builtin target, result count, sha256 of stdout and --jobs.
+# Builtin target, result count, sha256 of stdout, --jobs and --alphabet.
 PINNED_SEARCHES = [
-    ("even-fib", 7, "9c712bf318adfa67da4288ac769c2c6d7413194315eddf9869022d282d6fceb6", 1),
-    ("odd-fib", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
-    ("spir", 166, "62cb3ba3b76191bd8a4a712b0f678103956c397abec82955d04c10e6af7ded5a", 1),
-    ("fib", 21174, "19cb3bc3c41120ed51118094b3fbe896bcff443fcfd4c6b3d3a6a5c2e5cbd584", 1),
-    ("fib", 21174, "19cb3bc3c41120ed51118094b3fbe896bcff443fcfd4c6b3d3a6a5c2e5cbd584", 2),
+    ("even-fib", 7, "9c712bf318adfa67da4288ac769c2c6d7413194315eddf9869022d282d6fceb6", 1, 5),
+    ("odd-fib", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1, 5),
+    ("spir", 166, "62cb3ba3b76191bd8a4a712b0f678103956c397abec82955d04c10e6af7ded5a", 1, 5),
+    ("fib", 21174, "19cb3bc3c41120ed51118094b3fbe896bcff443fcfd4c6b3d3a6a5c2e5cbd584", 1, 5),
+    ("fib", 21174, "19cb3bc3c41120ed51118094b3fbe896bcff443fcfd4c6b3d3a6a5c2e5cbd584", 2, 5),
+    # The guard edge: the largest alphabet the search admits.
+    ("even-fib", 654, "818acfc2ea5d310a88d7a76f8f0c400c8e34f2e06a079bfaea7bade4d37555cd", 1, 6),
 ]
 
 
-def pinned_search_id(builtin, count, sha256, jobs):
-    """builtin-count-sha256, with -jobsN appended when N is above 1."""
-    return f"{builtin}-{count}-{sha256}" + (f"-jobs{jobs}" if jobs > 1 else "")
+def pinned_search_id(builtin, count, sha256, jobs, alphabet):
+    """builtin-count-sha256, then -jobsN when N is above 1 and -alphabetA when A is not 5."""
+    return (
+        f"{builtin}-{count}-{sha256}"
+        + (f"-jobs{jobs}" if jobs > 1 else "")
+        + (f"-alphabet{alphabet}" if alphabet != 5 else "")
+    )
 
 
 class TestSearch:
@@ -325,14 +331,14 @@ class TestSearch:
         assert capsys.readouterr().out == self.EXPECTED_OUT
 
     @pytest.mark.parametrize(
-        "builtin, count, sha256, jobs",
+        "builtin, count, sha256, jobs, alphabet",
         [pytest.param(*pin, id=pinned_search_id(*pin)) for pin in PINNED_SEARCHES],
     )
-    def test_result_lists_are_pinned(self, capsys, builtin, count, sha256, jobs):
-        """Printed result lists at alphabet 5, image length 3, prefix 60."""
+    def test_result_lists_are_pinned(self, capsys, builtin, count, sha256, jobs, alphabet):
+        """Printed result lists at image length 3, prefix 60."""
         code = main(
-            ["search", "--target", builtin, "--alphabet", "5", "--maxlen", "3", "--prefix", "60",
-             "--jobs", str(jobs)]
+            ["search", "--target", builtin, "--alphabet", str(alphabet), "--maxlen", "3",
+             "--prefix", "60", "--jobs", str(jobs)]
         )
         assert code == 0
         captured = capsys.readouterr()

@@ -17,7 +17,7 @@ from morpheq.repsearch import (
     complexity,
     search,
 )
-from morpheq.words import Coding, Morphism, MorphicRep
+from morpheq.words import Coding, FixedPoint, Morphism, MorphicRep
 
 
 def images_of(rep: FoundRep) -> tuple[str, ...]:
@@ -232,6 +232,28 @@ class TestAgainstBruteForce:
         prefix_len = data.draw(st.integers(1, len(target)))
         agrees_with_brute_force(target, n, 2, prefix_len)
 
+    # Ternary targets with images of up to three symbols: the symbol at a
+    # branch point recurs in the buffered tail, and the images it may take
+    # bring new symbols in at those extra landings.
+    def test_ternary_fixed_point(self):
+        # 0 -> 001, 1 -> 02, 2 -> 2
+        target = (0, 0, 1, 0, 0, 1, 0, 2, 0, 0, 1, 0, 0, 1, 0, 2, 0, 0, 1, 2)
+        assert agrees_with_brute_force(target, 3, 3, 20) == 13
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        images=st.tuples(
+            st.lists(st.integers(0, 2), min_size=1, max_size=2),
+            st.lists(st.integers(0, 2), min_size=1, max_size=3),
+            st.lists(st.integers(0, 2), min_size=1, max_size=3),
+        ),
+        prefix_len=st.integers(8, 24),
+    )
+    def test_ternary_fixed_points(self, images, prefix_len):
+        f = Morphism(((0, *images[0]), tuple(images[1]), tuple(images[2])))
+        target = FixedPoint(f, 0).prefix(prefix_len)
+        agrees_with_brute_force(target, 3, 3, prefix_len)
+
 
 class TestGuards:
     def test_alphabet_guard(self):
@@ -253,6 +275,19 @@ class TestGuards:
             SearchSpec(
                 target=(0,) * 5, alphabet_size=2, max_image_len=2, prefix_len=5, jobs=0
             )
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ((0, -1, 0, 1), "target symbol -1 at position 1"),
+            ((0, 1, 2.5), "target symbol 2.5 at position 2"),
+            ((0, "1"), "target symbol '1' at position 1"),
+            ((0, 256), "target symbol 256 at position 1"),
+        ],
+    )
+    def test_rejects_bad_target_symbols(self, target, message):
+        with pytest.raises(ValueError, match=message):
+            SearchSpec(target=target, alphabet_size=2, max_image_len=2, prefix_len=1)
 
     def test_prefix_longer_than_target(self):
         with pytest.raises(ValueError, match="shorter than"):
