@@ -18,18 +18,12 @@ import functools
 import sys
 
 from . import catalog
-from .formats import (
-    ParseError,
-    parse_problem,
-    parse_proof,
-    parse_rep,
-    serialize_proof,
-)
+from .formats import parse_problem, parse_proof, parse_rep, serialize_proof
 from .proofdoc import check_proof, render_latex, render_text
 from .prover import MAX_PAIR_LEN, ProveFailure, ProverConfig, prove_basic, prove_general
 from .repsearch import MAX_ALPHABET, MAX_IMAGE_LEN, SearchSpec, search
 from .subseq import MAX_COUNT, MAX_ODD_POWER, arith_prefix, block_encode, odd_length_power
-from .words import MAX_PREFIX, MorphicRep, NotProlongableError, first_mismatch, format_word
+from .words import MAX_PREFIX, MorphicRep, first_mismatch, format_word, is_digits, parse_word
 
 
 def _read(path: str) -> str:
@@ -121,10 +115,10 @@ def _cmd_search(args) -> int:
         target = catalog.builtin_prefix(args.target, args.prefix)
     else:
         text = "".join(_read(args.target).split())
-        if not text.isdigit():
+        if not is_digits(text):
             print("target file must contain digits only", file=sys.stderr)
             return 2
-        target = tuple(int(c) for c in text)
+        target = parse_word(text)
     spec = SearchSpec(
         target=target,
         alphabet_size=args.alphabet,
@@ -215,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--builtin requires --op")
     try:
         return args.func(args)
-    except (ParseError, NotProlongableError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

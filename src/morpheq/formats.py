@@ -17,13 +17,15 @@ tolerated; anything else is rejected with the offending line number.
 A proof file is a problem block followed by the certificate: a line with
 the exponents and the proof mode, the pair count, then per pair the words
 u_i and v_i as digit strings and the index word w_i as space-separated
-integers (pair indices can exceed one digit, words cannot).
+numbers (pair indices can exceed one digit, words cannot).  Digits are
+ASCII 0-9 only, checked by words.is_digits: the other digits str.isdigit
+takes, such as superscripts, are rejected with their line number.
 """
 
 from __future__ import annotations
 
 from .prover import EqualityProblem, Proof, ProofMode, SafePairTable
-from .words import Coding, Morphism, Word, format_word
+from .words import Coding, Morphism, Word, format_word, is_digits
 
 
 class ParseError(ValueError):
@@ -63,7 +65,7 @@ class _Cursor:
 def _parse_count(cursor: _Cursor, what: str) -> int:
     line = cursor.next(f"{what} alphabet size")
     lineno = cursor.pos
-    if not line.isdigit():
+    if not is_digits(line):
         raise ParseError(lineno, f"alphabet size must be a number, got {line!r}")
     n = int(line)
     if not 1 <= n <= MAX_CODEC_ALPHABET:
@@ -74,7 +76,7 @@ def _parse_count(cursor: _Cursor, what: str) -> int:
 def _parse_digit_word(cursor: _Cursor, what: str, alphabet: int) -> Word:
     line = cursor.next(what)
     lineno = cursor.pos
-    if not line.isdigit():
+    if not is_digits(line):
         raise ParseError(lineno, f"{what} must be a digit string, got {line!r}")
     w = tuple(int(c) for c in line)
     for s in w:
@@ -90,7 +92,7 @@ def _parse_side(cursor: _Cursor, name: str) -> tuple[Morphism, tuple[int, ...]]:
     )
     coding_line = cursor.next(f"coding line for {name}")
     lineno = cursor.pos
-    if not coding_line.isdigit():
+    if not is_digits(coding_line):
         raise ParseError(lineno, f"coding must be a digit string, got {coding_line!r}")
     if len(coding_line) != n:
         raise ParseError(
@@ -142,7 +144,7 @@ def parse_proof(text: str) -> Proof:
     parts = header.split()
     if len(parts) != 3:
         raise ParseError(lineno, "expected 'p q mode'")
-    if not (parts[0].isdigit() and parts[1].isdigit()):
+    if not (is_digits(parts[0]) and is_digits(parts[1])):
         raise ParseError(lineno, "exponents must be numbers")
     p, q = int(parts[0]), int(parts[1])
     if p < 1 or q < 1:
@@ -154,7 +156,7 @@ def parse_proof(text: str) -> Proof:
 
     count_line = cursor.next("pair count")
     lineno = cursor.pos
-    if not count_line.isdigit() or int(count_line) < 1:
+    if not is_digits(count_line) or int(count_line) < 1:
         raise ParseError(lineno, "pair count must be a positive number")
     count = int(count_line)
 
@@ -165,13 +167,11 @@ def parse_proof(text: str) -> Proof:
         v = _parse_digit_word(cursor, f"word v_{i}", problem.g.alphabet_size)
         w_line = cursor.next(f"index word w_{i}")
         lineno = cursor.pos
-        try:
-            w = tuple(int(tok) for tok in w_line.split())
-        except ValueError:
-            raise ParseError(lineno, "index word must be space-separated numbers") from None
-        if len(w) == 0:
-            raise ParseError(lineno, "index word must not be empty")
-        if any(j >= count or j < 0 for j in w):
+        tokens = w_line.split()
+        if not all(map(is_digits, tokens)):
+            raise ParseError(lineno, "index word must be space-separated numbers")
+        w = tuple(map(int, tokens))
+        if any(j >= count for j in w):
             raise ParseError(lineno, f"index word refers outside the {count} pairs")
         pairs.append((u, v))
         decomps.append(w)

@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from .prover import Proof
 from .words import AlphabetError, Morphism, PowerLimitError, format_word
 
-CONDITIONS = ("coding-eq", "f-decomposition", "g-decomposition", "start-symbol", "nonempty",
-              "alphabet", "budget")
-
 
 @dataclass(frozen=True)
 class Violation:

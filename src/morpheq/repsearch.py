@@ -59,6 +59,7 @@ from .words import ALPHABET_LIMIT, Coding, FixedPoint, Morphism, Word, rename_sy
 
 MAX_ALPHABET = 6
 MAX_IMAGE_LEN = 3
+CANONICAL_PREFIX = 10**4
 
 
 class SearchTooLargeError(ValueError):
@@ -394,15 +395,13 @@ def search(spec: SearchSpec) -> list[FoundRep]:
     return found
 
 
-def canonical_form(
-    f: Morphism, coding: Coding, budget: int = 10**4
-) -> tuple[Morphism, Coding]:
+def canonical_form(f: Morphism, coding: Coding) -> tuple[Morphism, Coding]:
     """Rename symbols by first appearance in the fixed point at 0.
 
-    Every symbol must occur within budget symbols of the fixed point;
-    unreachable symbols make the renaming undefined.
+    Every symbol must occur within CANONICAL_PREFIX symbols of the fixed
+    point; unreachable symbols make the renaming undefined.
     """
-    order = list(FixedPoint(f, 0).first_occurrences(budget))
+    order = list(FixedPoint(f, 0).first_occurrences(CANONICAL_PREFIX))
     if len(order) < f.alphabet_size:
-        raise ValueError(f"not all symbols occur in the first {budget} symbols")
+        raise ValueError(f"not all symbols occur in the first {CANONICAL_PREFIX} symbols")
     return rename_symbols(f, coding, order)

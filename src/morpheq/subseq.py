@@ -1,9 +1,10 @@
 """Arithmetic subsequences of morphic sequences and length-2 block encodings.
 
 arith_prefix is the one routine that selects positions from a coded
-sequence: the builtin targets and the command line go through it, and it
-refuses more than MAX_COUNT symbols, or positions past words.MAX_PREFIX,
-before expanding anything.
+sequence: the builtin targets and the command line go through it.  It
+refuses more than MAX_COUNT symbols before expanding anything, and
+positions past words.MAX_PREFIX are refused by FixedPoint, also before
+expanding.
 
 The even and odd subsequences of a pure morphic sequence are again morphic:
 upscale the morphism until every image has odd length, cut its fixed point
@@ -14,7 +15,7 @@ even- or odd-indexed subsequence respectively.
 
 from __future__ import annotations
 
-from .words import MAX_PREFIX, Coding, Morphism, MorphicRep, Word
+from .words import Coding, Morphism, MorphicRep, Word
 
 
 class BlockEncodingError(ValueError):
@@ -32,10 +33,7 @@ def arith_prefix(rep: MorphicRep, start: int, step: int, count: int) -> Word:
         raise ValueError("need start >= 0 and step >= 1")
     if not 0 <= count <= MAX_COUNT:
         raise ValueError(f"count is {count}; it must be between 0 and {MAX_COUNT}")
-    end = start + step * count
-    if end > MAX_PREFIX:
-        raise ValueError(f"positions reach {end}; at most {MAX_PREFIX} symbols can be read")
-    return rep.prefix(end)[start::step]
+    return rep.prefix(start + step * count)[start::step]
 
 
 def odd_length_power(f: Morphism) -> int | None:

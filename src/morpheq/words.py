@@ -40,9 +40,9 @@ POWER_BYTES = 1 << 8
 # Most symbols Morphism.power writes, summed over the images of f^2, ..., f^k
 # it builds on the way to f^k.
 POWER_LIMIT = 1 << 20
-# Longest prefix of a coded fixed point that verify-prefix compares and that
-# subseq.arith_prefix reads.  Expansion keeps one byte per symbol, so this
-# bounds the memory of either (about 210 MB for two sides at the limit).
+# Longest prefix a FixedPoint expands to and first_mismatch compares.
+# Expansion keeps one byte per symbol, so this bounds the memory of every
+# reader (about 210 MB for the two sides of verify-prefix at the limit).
 MAX_PREFIX = 10**8
 
 
@@ -65,9 +65,14 @@ def _check_byte_alphabet(size: int, what: str) -> None:
         )
 
 
+def is_digits(text: str) -> bool:
+    """Whether text is a non-empty string of ASCII digits; str.isdigit takes others too."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_word(text: str) -> Word:
-    """Turn a digit string like '0210' into a word."""
-    if not isinstance(text, str) or not all(c.isdigit() for c in text):
+    """Turn a digit string like '0210' into a word; '' is the empty word."""
+    if not isinstance(text, str) or (text and not is_digits(text)):
         raise ValueError(f"not a digit string: {text!r}")
     return tuple(int(c) for c in text)
 
@@ -175,11 +180,10 @@ class Coding:
         return cls(tuple(range(n)), n)
 
     @classmethod
-    def from_string(cls, text: str, target_size: int | None = None) -> Coding:
+    def from_string(cls, text: str) -> Coding:
+        """The coding whose table is the digit string, onto one past its largest digit."""
         table = parse_word(text)
-        if target_size is None:
-            target_size = max(table) + 1
-        return cls(table, target_size)
+        return cls(table, max(table, default=-1) + 1)
 
     @property
     def source_size(self) -> int:
@@ -230,7 +234,8 @@ class FixedPoint:
     images of the next not-yet-consumed buffer symbols extends the known
     prefix.  Prolongability guarantees the consumer never catches up.
     The buffer is a bytearray.  f^oo(a) is also the fixed point of every
-    power of f, so the expansion uses a power (see POWER_BYTES).
+    power of f, so the expansion uses a power (see POWER_BYTES).  extend_to
+    refuses to grow past MAX_PREFIX symbols, which bounds every read.
     """
 
     def __init__(self, morphism: Morphism, start: int = 0):
@@ -256,6 +261,8 @@ class FixedPoint:
     def extend_to(self, n: int) -> None:
         if len(self._buf) >= n:
             return
+        if n > MAX_PREFIX:
+            raise ValueError(f"{n} symbols asked for; at most {MAX_PREFIX} symbols can be expanded")
         buf = self._buf
         images = self._images
         longest = self._longest
@@ -358,6 +365,8 @@ def first_mismatch(left: MorphicRep, right: MorphicRep, n: int) -> tuple[int, in
     """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
+    if n > MAX_PREFIX:
+        raise ValueError(f"{n} symbols asked for; at most {MAX_PREFIX} symbols can be compared")
     left_fp, right_fp = left.fixed_point(), right.fixed_point()
     left_table, right_table = left._table(), right._table()
     for k in range(0, n, CHUNK):

@@ -68,6 +68,22 @@ class TestParseProblem:
         with pytest.raises(ParseError, match=r"line 2: image f\(0\) must be a digit string"):
             parse_problem("2\n0a\n0\n01\n" + FIB_SIDE)
 
+    # str.isdigit takes the Arabic-Indic one (read as 1) and the superscript
+    # two (int() then failed with no line number).
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("\u0662\n01\n0\n01\n" + FIB_SIDE, 1, "alphabet size must be a number"),
+            ("2\n0\u0661\n0\n01\n" + FIB_SIDE, 2, r"image f\(0\) must be a digit string"),
+            ("2\n0\u00b2\n0\n01\n" + FIB_SIDE, 2, r"image f\(0\) must be a digit string"),
+            ("2\n01\n0\n0\u0661\n" + FIB_SIDE, 4, "coding must be a digit string"),
+        ],
+        ids=["alphabet-size", "image-arabic-indic", "image-superscript", "coding"],
+    )
+    def test_rejects_non_ascii_digits(self, text, line, message):
+        with pytest.raises(ParseError, match=f"line {line}: {message}"):
+            parse_problem(text)
+
     def test_rejects_image_symbol_outside_alphabet(self):
         with pytest.raises(ParseError, match=r"line 2: image f\(0\) uses symbol 2"):
             parse_problem("2\n021\n0\n01\n" + FIB_SIDE)
@@ -176,6 +192,26 @@ class TestProofFiles:
         lines[13] = "0 a"
         with pytest.raises(ParseError, match="space-separated numbers"):
             parse_proof("\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "at, text, message",
+        [
+            (9, "\u0661 1 general", "exponents must be numbers"),
+            (9, "1 \u00b2 general", "exponents must be numbers"),
+            (10, "\u0662", "pair count must be a positive number"),
+            (13, "+0 1 0", "index word must be space-separated numbers"),
+            (13, "0 \u0661", "index word must be space-separated numbers"),
+            (13, "0_1", "index word must be space-separated numbers"),
+        ],
+        ids=["exponent-p", "exponent-q", "pair-count", "index-sign", "index-arabic-indic",
+             "index-underscore"],
+    )
+    def test_rejects_non_ascii_digit_numbers(self, at, text, message):
+        lines = serialize_proof(self.proof()).split("\n")
+        lines[at] = text
+        with pytest.raises(ParseError, match=message) as err:
+            parse_proof("\n".join(lines))
+        assert err.value.line == at + 1
 
     def test_rejects_pair_word_outside_alphabet(self):
         lines = serialize_proof(self.proof()).split("\n")

@@ -5,10 +5,12 @@ from time import perf_counter
 
 import pytest
 
+from morpheq import words
 from morpheq.catalog import even_fib_rep
 from morpheq.words import (
     ALPHABET_LIMIT,
     CHUNK,
+    MAX_PREFIX,
     POWER_BYTES,
     POWER_LIMIT,
     AlphabetError,
@@ -39,6 +41,11 @@ def test_parse_word_rejects_non_digits():
         parse_word("0a1")
     with pytest.raises(ValueError):
         parse_word(["01", "0"])
+    # str.isdigit takes these; an Arabic-Indic one was read as 1
+    with pytest.raises(ValueError, match="not a digit string"):
+        parse_word("0\u0661")
+    with pytest.raises(ValueError, match="not a digit string"):
+        parse_word("0\u00b2")
 
 
 def test_format_word_rejects_wide_symbols():
@@ -139,6 +146,8 @@ def test_coding_validation():
         Coding((), 1)
     with pytest.raises(AlphabetError):
         Coding.from_string("01").apply((2,))
+    with pytest.raises(ValueError, match="coding needs at least one symbol"):
+        Coding.from_string("")
 
 
 def test_morphic_rep_prefix_applies_coding():
@@ -294,6 +303,34 @@ def test_first_mismatch_of_empty_and_negative_prefixes():
     assert first_mismatch(MorphicRep.pure(FIB), ZEROS, 0) is None
     with pytest.raises(ValueError):
         first_mismatch(MorphicRep.pure(FIB), ZEROS, -1)
+
+
+# Each reader asked for its first n symbols, through FixedPoint.extend_to or
+# first_mismatch's own check.
+PREFIX_READERS = {
+    "FixedPoint.prefix": lambda n: FixedPoint(FIB).prefix(n),
+    "FixedPoint.factor": lambda n: FixedPoint(FIB).factor(n - 1, n),
+    "FixedPoint.at": lambda n: FixedPoint(FIB).at(n - 1),
+    "MorphicRep.prefix": lambda n: MorphicRep.pure(FIB).prefix(n),
+    "first_mismatch": lambda n: first_mismatch(MorphicRep.pure(FIB), ZEROS, n),
+}
+
+
+@pytest.mark.parametrize("n", [MAX_PREFIX + 1, 10**18])
+@pytest.mark.parametrize("reader", PREFIX_READERS)
+def test_readers_refuse_more_than_max_prefix_before_expanding(reader, n):
+    start = perf_counter()
+    with pytest.raises(ValueError, match=f"at most {MAX_PREFIX} symbols"):
+        PREFIX_READERS[reader](n)
+    assert perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("reader", PREFIX_READERS)
+def test_readers_take_exactly_max_prefix(reader, monkeypatch):
+    monkeypatch.setattr(words, "MAX_PREFIX", 1000)
+    PREFIX_READERS[reader](1000)
+    with pytest.raises(ValueError, match="at most 1000 symbols"):
+        PREFIX_READERS[reader](1001)
 
 
 def test_byte_buffers_limit_the_alphabet():
