@@ -27,8 +27,16 @@ from .words import MAX_PREFIX, MorphicRep, first_mismatch, format_word, is_digit
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="ascii") as handle:
-        return handle.read()
+    """The text of an input file, with universal newlines; a byte outside
+    ASCII raises ValueError naming the file and its line."""
+    with open(path, "rb") as handle:
+        data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        byte = data[err.start]
+        raise ValueError(f"{path}: line {line}: byte 0x{byte:02x} is not ASCII") from None
 
 
 def _cmd_prove(args) -> int:

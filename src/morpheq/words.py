@@ -12,6 +12,15 @@ symbol, so both need alphabets of at most 256 symbols (ALPHABET_LIMIT): the
 morphism's alphabet, and the coding's target alphabet.  Larger ones raise
 AlphabetError.  Their public results are still words (tuples of ints).
 
+FixedPoint expands with a power f^(2^j) sized to the read.  It starts with
+the largest whose images, counting only symbols it reads, total at most
+POWER_BYTES; a read of n symbols squares it further while they total at
+most n // READ_SHARE bytes and never more than CHUNK, so reads of up to
+READ_SHARE * POWER_BYTES symbols keep the first power.  Each square's size
+is told from the image lengths before it is built.  A step over symbols
+whose images all have length 1, as in an eventually periodic tail, is one
+bytes.translate.
+
 Morphism.power_lengths gives |f^k(a)| as the sum of |f^(k-1)(s)| over the
 symbols s of f(a), without expanding; Morphism.power uses it to refuse
 powers over POWER_LIMIT with PowerLimitError.
@@ -28,15 +37,20 @@ Word = tuple[int, ...]
 # Largest alphabet a byte buffer can hold.
 ALPHABET_LIMIT = 256
 # Most bytes one extension step of a FixedPoint appends (or one image, if
-# longer), and the length of the pieces first_mismatch compares: larger
-# chunks build larger transient lists of image references for little gain.
+# longer), most bytes its images take in all, and the length of the pieces
+# first_mismatch compares: larger chunks build larger transient lists of
+# image references for little gain.
 CHUNK = 1 << 16
-# A FixedPoint expands with the power f^(2^j) of largest j whose images,
-# counting only symbols the expansion reads, take at most this many bytes in
-# all: each consumed symbol then appends a long image, so far fewer symbols
-# pass through Python code.  Steps also append up to this many bytes when
-# fewer are asked for, so that symbol-by-symbol reads are served in batches.
+# A FixedPoint starts out expanding with the power f^(2^j) of largest j
+# whose images, counting only symbols the expansion reads, take at most this
+# many bytes in all: each consumed symbol then appends a long image, so far
+# fewer symbols pass through Python code.  Steps also append up to this many
+# bytes when fewer are asked for, so that symbol-by-symbol reads are served
+# in batches.
 POWER_BYTES = 1 << 8
+# A read of n symbols may square that power while its images take at most
+# n // READ_SHARE bytes (and CHUNK) in all.
+READ_SHARE = 64
 # Most symbols Morphism.power writes, summed over the images of f^2, ..., f^k
 # it builds on the way to f^k.
 POWER_LIMIT = 1 << 20
@@ -210,20 +224,41 @@ def _closure(f: Morphism, symbols) -> set[int]:
     return reached
 
 
-def _power_images(images: tuple[bytes, ...], used: set[int]) -> tuple[bytes, ...]:
-    """Images of f^(2^j), for the largest j keeping those of `used` within POWER_BYTES.
+def _power_images(images: tuple[bytes, ...], budget: int) -> tuple[tuple[bytes, ...], int]:
+    """The images squared while the squares total at most budget bytes, and
+    the total of the next square.
 
-    The images are those of f, and `used` is a set of symbols closed under f
-    that holds a symbol at which f is prolongable, so that the total length
-    grows with j.  Images of the other symbols are never read and come back
-    empty.  Only images within POWER_BYTES are squared, so no square takes
-    more than POWER_BYTES**2 bytes.
+    Images of symbols never read are empty and stay so.  A square's total is
+    told by the lengths and symbol counts before it is joined, so no square
+    past budget is built.
     """
-    images = squared = tuple(im if s in used else b"" for s, im in enumerate(images))
-    while sum(map(len, squared)) <= POWER_BYTES:
-        images = squared
-        squared = tuple(b"".join([images[s] for s in im]) for im in images)
-    return images
+    while True:
+        joined = b"".join(images)
+        size = sum(len(im) * joined.count(s) for s, im in enumerate(images) if im)
+        if size > budget:
+            return images, size
+        images = tuple(b"".join([images[s] for s in im]) for im in images)
+
+
+def _resume_point(buf: bytearray, lengths: tuple[int, ...], stop: int) -> tuple[int, int]:
+    """With images of these lengths laid end to end from buf[0]: the first
+    j < stop whose image ends past the end of buf, and where it starts.
+
+    A block of symbols takes its own length plus the excess of its images
+    longer than 1, told by bytearray.count; blocks shrink from CHUNK to one
+    symbol, so the counts run over the buffer about once.  Returns stop
+    when no image ends past buf.
+    """
+    size = len(buf)
+    excess = [(s, k - 1) for s, k in enumerate(lengths) if k > 1]
+    end = j = 0
+    for block in (CHUNK, 1 << 8, 1):
+        while j + block <= stop:
+            grown = end + block + sum(k * buf.count(s, j, j + block) for s, k in excess)
+            if grown > size:
+                break
+            end, j = grown, j + block
+    return j, end
 
 
 class FixedPoint:
@@ -234,8 +269,11 @@ class FixedPoint:
     images of the next not-yet-consumed buffer symbols extends the known
     prefix.  Prolongability guarantees the consumer never catches up.
     The buffer is a bytearray.  f^oo(a) is also the fixed point of every
-    power of f, so the expansion uses a power (see POWER_BYTES).  extend_to
-    refuses to grow past MAX_PREFIX symbols, which bounds every read.
+    power of f, so the expansion uses a power sized to the read (see the
+    module docstring).  A new power resumes at the first consumed symbol
+    whose new image ends past the buffer, and appends only that image's
+    tail: the buffer never shrinks.  extend_to refuses to grow past
+    MAX_PREFIX symbols, which bounds every read.
     """
 
     def __init__(self, morphism: Morphism, start: int = 0):
@@ -247,13 +285,34 @@ class FixedPoint:
         self.morphism = morphism
         self.start = start
         # Only symbols after position 0 are ever consumed.
-        consumed = _closure(morphism, morphism.images[start][1:])
-        self._symbols = consumed | {start}
-        images = tuple(bytes(im) for im in morphism.images)
-        self._images = _power_images(images, self._symbols)
-        self._longest = max(len(self._images[s]) for s in consumed)
+        self._consumed = _closure(morphism, morphism.images[start][1:])
+        self._symbols = self._consumed | {start}
+        images = tuple(
+            bytes(im) if s in self._symbols else b"" for s, im in enumerate(morphism.images)
+        )
+        self._set_power(*_power_images(images, POWER_BYTES))
         self._buf = bytearray(self._images[start])
         self._next = 1
+
+    def _set_power(self, images: tuple[bytes, ...], square_size: int) -> None:
+        self._images = images
+        self._square_size = square_size
+        self._longest = max(len(images[s]) for s in self._consumed)
+        self._long = tuple(s for s in self._consumed if len(images[s]) > 1)
+        # The images of length 1 as a bytes.translate table, if any is read.
+        self._short = None
+        if len(self._long) < len(self._consumed):
+            short = bytes(im[0] if len(im) == 1 else 0 for im in images)
+            self._short = short.ljust(ALPHABET_LIMIT, b"\0")
+
+    def _repower(self, budget: int) -> None:
+        """Square the power within budget and resume the buffer under it."""
+        self._set_power(*_power_images(self._images, budget))
+        buf = self._buf
+        j, end = _resume_point(buf, tuple(map(len, self._images)), self._next)
+        if j < self._next:
+            buf += self._images[buf[j]][len(buf) - end:]
+            self._next = j + 1
 
     def __len__(self) -> int:
         return len(self._buf)
@@ -263,16 +322,25 @@ class FixedPoint:
             return
         if n > MAX_PREFIX:
             raise ValueError(f"{n} symbols asked for; at most {MAX_PREFIX} symbols can be expanded")
+        budget = min(n // READ_SHARE, CHUNK)
+        if self._square_size <= budget:
+            self._repower(budget)
         buf = self._buf
         images = self._images
         longest = self._longest
+        long = self._long
+        short = self._short
         while len(buf) < n:
             # A step appends at most `want` bytes or one image; every consumed
             # symbol appends at least one, so the consumer never catches up.
             start = self._next
             want = min(max(n - len(buf), POWER_BYTES), CHUNK)
             stop = min(len(buf), start + max(1, want // longest))
-            buf += b"".join([images[s] for s in buf[start:stop]])
+            chunk = buf[start:stop]
+            if short is not None and not any(map(chunk.__contains__, long)):
+                buf += chunk.translate(short)
+            else:
+                buf += b"".join([images[s] for s in chunk])
             self._next = stop
 
     def _bytes(self, k: int, m: int) -> bytearray:
@@ -360,8 +428,12 @@ def first_mismatch(left: MorphicRep, right: MorphicRep, n: int) -> tuple[int, in
     """First position below n where two coded sequences differ, or None.
 
     Returns the position and the two coded symbols there.  Both fixed
-    points are expanded, coded and compared a chunk at a time, so unequal
-    sequences stop expanding at the first chunk that differs.
+    points are coded and compared a chunk at a time, so unequal sequences
+    stop at the first chunk that differs.  A side whose buffer a chunk
+    passes is expanded to twice its length (at most n), so each buffer
+    grows in a few long runs rather than in turns with the other, and
+    reads long enough for a larger power; an unequal pair is expanded to at
+    most about twice the end of the chunk that differs.
     """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
@@ -371,12 +443,27 @@ def first_mismatch(left: MorphicRep, right: MorphicRep, n: int) -> tuple[int, in
     left_table, right_table = left._table(), right._table()
     for k in range(0, n, CHUNK):
         m = min(n, k + CHUNK)
+        for fp in (left_fp, right_fp):
+            if len(fp) < m:
+                fp.extend_to(min(n, max(m, 2 * len(fp))))
         a = left_fp._bytes(k, m).translate(left_table)
         b = right_fp._bytes(k, m).translate(right_table)
         if a != b:
-            i = next(i for i in range(m - k) if a[i] != b[i])
+            i = _first_difference(a, b)
             return k + i, a[i], b[i]
     return None
+
+
+def _first_difference(a: bytes, b: bytes) -> int:
+    """First index where a and b, unequal and of one length, differ, by halving."""
+    lo, hi = 0, len(a)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def prune_unreachable(f: Morphism, coding: Coding, a: int) -> tuple[Morphism, Coding, int]:

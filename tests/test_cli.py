@@ -428,6 +428,36 @@ class TestNumericArguments:
         assert limit in options.split(f" {option} ", 1)[1].split(" --", 1)[0]
 
 
+# Each command that reads an input file, given the file's path.
+FILE_COMMANDS = {
+    "prove": lambda path: ["prove", path],
+    "check": lambda path: ["check", path],
+    "verify-prefix": lambda path: ["verify-prefix", path],
+    "subseq --encode-blocks": lambda path: ["subseq", "--encode-blocks", path],
+    "search --target": lambda path: [
+        "search", "--target", path, "--alphabet", "2", "--maxlen", "2", "--prefix", "2"
+    ],
+}
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    def test_non_ascii_byte_is_reported_with_file_and_line(self, capsys, tmp_path, command):
+        # An Arabic-Indic one (bytes d9 a1) among the digits of line 3
+        path = tmp_path / "input.txt"
+        path.write_bytes("2\n01\n0\u0661\n01\n".encode())
+        assert main(FILE_COMMANDS[command](str(path))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: line 3: byte 0xd9 is not ASCII\n"
+
+    def test_line_count_follows_universal_newlines(self, capsys, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"2\r\n01\r0\n\xff\n")
+        assert main(["prove", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 4: byte 0xff is not ASCII\n"
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, golden_dir):
         exe = shutil.which("morpheq")

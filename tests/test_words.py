@@ -13,6 +13,7 @@ from morpheq.words import (
     MAX_PREFIX,
     POWER_BYTES,
     POWER_LIMIT,
+    READ_SHARE,
     AlphabetError,
     Coding,
     FixedPoint,
@@ -204,15 +205,18 @@ def naive_fixed_point(f, a, n):
 CHUNK_LENGTHS = (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
 # 0 -> 02, 1 -> 0^200, 2 -> 2: symbol 1 never occurs in the fixed point 0222...
 UNREACHABLE_LONG = Morphism.from_strings("02", "0" * 200, "2")
-# Fibonacci, the even-Fibonacci representation, and three morphisms with
+# Fibonacci, the even-Fibonacci representation, and four morphisms with
 # length-1 images whose buffers run only slowly ahead of their consumers:
 # spir's grows quadratically, and 0 -> 02, 1 -> 2, 2 -> 1 linearly, with the
-# eventually periodic fixed point 0212121..., as does UNREACHABLE_LONG's.
+# eventually periodic fixed point 0212121..., as do UNREACHABLE_LONG's and
+# that of 0 -> 01 and the 3-cycle 1 -> 2 -> 3 -> 1, 0123123..., which no
+# power f^(2^j) maps to itself symbol by symbol.
 EXPANDED = {
     "fib": (FIB, 0),
     "even-fib": (even_fib_rep().morphism, 0),
     "spir": (SPIR, 2),
     "periodic-tail": (Morphism.from_strings("02", "2", "1"), 0),
+    "periodic-cycle": (Morphism.from_strings("01", "2", "3", "1"), 0),
     "unreachable-long": (UNREACHABLE_LONG, 0),
 }
 
@@ -239,6 +243,49 @@ def test_fixed_point_walk_symbol_by_symbol(name):
     assert walked.prefix(POWER_BYTES + 1) == tuple(expected[:POWER_BYTES + 1])
 
 
+@pytest.fixture
+def repowers(monkeypatch):
+    """Buffer lengths at which FixedPoints re-power, each checked to keep
+    its buffer: no re-power may shrink it or change what it held."""
+    seen = []
+    repower = FixedPoint._repower
+
+    def checked(self, budget):
+        held = self.prefix(len(self))
+        repower(self, budget)
+        assert self.prefix(len(held)) == held
+        seen.append(len(held))
+
+    monkeypatch.setattr(FixedPoint, "_repower", checked)
+    return seen
+
+
+# Past the last re-power of every EXPANDED morphism when read CHUNK by
+# CHUNK: even-fib's, at about ten CHUNKs.
+REPOWERED_READ = 11 * CHUNK
+
+
+@pytest.mark.parametrize("name", sorted(EXPANDED))
+def test_growing_reads_across_re_powers(name, repowers):
+    f, a = EXPANDED[name]
+    expected = tuple(naive_fixed_point(f, a, REPOWERED_READ))
+    fp = FixedPoint(f, a)
+    lengths = [len(fp)]
+    for k in range(0, REPOWERED_READ, CHUNK):
+        assert fp.factor(k, k + CHUNK) == expected[k:k + CHUNK]
+        lengths.append(len(fp))
+    assert lengths == sorted(lengths)
+    # At least one re-power resumed deep inside the buffer.
+    assert max(repowers) >= CHUNK
+
+
+@pytest.mark.parametrize("name", sorted(EXPANDED))
+def test_reads_up_to_the_first_size_class_keep_the_first_power(name, repowers):
+    f, a = EXPANDED[name]
+    FixedPoint(f, a).prefix(READ_SHARE * POWER_BYTES)
+    assert repowers == []
+
+
 def test_power_ignores_images_never_read():
     # The long image of the unreachable symbol 1 does not count against
     # POWER_BYTES, so the buffer starts as f^128(0) = 0 2^128, the longest
@@ -260,6 +307,23 @@ def test_long_images_are_not_squared():
     assert peak < 1 << 20
 
 
+def test_re_powering_long_images_stays_within_the_cap(repowers):
+    # 0 -> 0 1^100, 1 -> 1^100: f^2 takes 20101 bytes, and f^4 would take
+    # about 2 * 10^8, which lengths-first squaring never builds.
+    f = Morphism(((0,) + (1,) * 100, (1,) * 100))
+    n = 1 << 21
+    fp = FixedPoint(f, 0)
+    tracemalloc.start()
+    try:
+        fp.extend_to(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(repowers) == 1
+    assert fp.factor(n - 3, n) == (1, 1, 1)
+    assert peak < 2 * n
+
+
 def marker_rep(p, marked):
     """0 followed by (1^(p-1) 2)^oo, coding 2 to 1 if marked, everything else to 0."""
     f = Morphism(((0,) + (1,) * (p - 1) + (2,), (1,), (2,)))
@@ -279,6 +343,7 @@ MISMATCHES = {
     "position 0": (MorphicRep(FIB, Coding((1, 0), 2)), ZEROS, 0),
     "inside the first chunk": (marker_rep(1000, True), ZEROS, 1000),
     "at a chunk boundary": (marker_rep(CHUNK, True), marker_rep(CHUNK, False), CHUNK),
+    "at the last position of a chunk": (marker_rep(2 * CHUNK - 1, True), ZEROS, 2 * CHUNK - 1),
     "in the last partial chunk": (marker_rep(3 * CHUNK + 3, True), ZEROS, 3 * CHUNK + 3),
     "nowhere": (marker_rep(3 * CHUNK + 7, True), ZEROS, None),
 }
@@ -297,6 +362,31 @@ def test_first_mismatch_agrees_with_tuple_comparison(case):
         pos, a, b = found
         assert pos == position
         assert first_mismatch(right, left, n) == (pos, b, a)
+
+
+def defect_rep(depth):
+    """Fibonacci through f^5, coded, but for a defect far out.
+
+    Symbols 2, ..., depth + 1 are copies of 1: f^5(0) ends in 2, each copy's
+    image holds the next copy where f^5(1) has its last 1, and the last
+    copy's image ends in 1 instead of 0.  Each copy first occurs about
+    |f^5| times further out than the one before.
+    """
+    zero, one = (FIB ** 5).images
+    images = [zero[:-1] + (2,), one]
+    for copy in range(2, depth + 1):
+        images.append(one[:6] + (copy + 1,) + one[7:])
+    images.append(one[:-1] + (1,))
+    return MorphicRep(Morphism(images), Coding((0,) + (1,) * (depth + 1), 2))
+
+
+def test_first_mismatch_past_a_re_power(repowers):
+    left, right = defect_rep(5), MorphicRep.pure(FIB)
+    n = 40 * CHUNK
+    found = first_mismatch(left, right, n)
+    assert found == plain_mismatch(left, right, n)
+    assert found[0] > max(repowers) > 4 * CHUNK
+    assert first_mismatch(right, left, n) == (found[0], found[2], found[1])
 
 
 def test_first_mismatch_of_empty_and_negative_prefixes():
