@@ -21,11 +21,7 @@ def fib_rep() -> MorphicRep:
 
 def spir_rep() -> MorphicRep:
     """1101001000100001...: ones exactly at the triangular numbers k(k+1)/2."""
-    return MorphicRep(
-        Morphism.from_strings("0", "01", "21"),
-        Coding.from_string("011"),
-        start=2,
-    )
+    return MorphicRep(Morphism.from_strings("01", "21", "2"), Coding.from_string("110"))
 
 
 def even_fib_rep() -> MorphicRep:

@@ -59,6 +59,13 @@ class ProofMode(enum.Enum):
 # Longest safe pair the prover considers.  Looking for one reads up to this
 # many symbols of each fixed point, so it bounds that time and memory.
 MAX_PAIR_LEN = 10**5
+# Most pairs a general table may hold.
+MAX_PAIRS = 64
+# The basic mode looks for the first occurrence of each symbol of g within
+# this many symbols of g's fixed point, and cuts its pairs out of at most
+# PREFIX_BUDGET symbols of f's.
+HORIZON = 10**5
+PREFIX_BUDGET = 10**6
 
 
 def _check_pair_len(max_len: int) -> None:
@@ -69,9 +76,6 @@ def _check_pair_len(max_len: int) -> None:
 @dataclass(frozen=True)
 class ProverConfig:
     max_pair_len: int = 10
-    max_pairs: int = 64
-    prefix_budget: int = 10**6
-    horizon: int = 10**5
     tol: float = DEFAULT_TOLERANCE
     eigen_iterations: int = 8
 
@@ -173,8 +177,8 @@ def find_initial_safe_pair(
     1..MAX_PAIR_LEN, as in ProverConfig.
     """
     _check_pair_len(max_len)
-    sf = FixedPoint(f, 0)
-    sg = FixedPoint(g, 0)
+    sf = FixedPoint(f)
+    sg = FixedPoint(g)
     positions = range(max_len)
     cut = _smallest_safe_cut(
         map(sf.at, positions), map(sg.at, positions), f.image_lengths(), g.image_lengths()
@@ -213,10 +217,10 @@ def derive_table(
         known = index.get(key)
         if known is not None:
             return known
-        if len(pairs) >= config.max_pairs:
+        if len(pairs) >= MAX_PAIRS:
             raise ProveFailure(
                 FailureStage.PAIR_BUDGET_EXCEEDED,
-                f"more than {config.max_pairs} safe pairs needed",
+                f"more than {MAX_PAIRS} safe pairs needed",
             )
         if tau.apply(u) != rho.apply(v):
             raise ProveFailure(
@@ -293,29 +297,29 @@ def prove_basic(
     gq = norm.g.power(q)
     n = gq.alphabet_size
 
-    seq_g = FixedPoint(gq, 0)
-    first = seq_g.first_occurrences(config.horizon)
+    seq_g = FixedPoint(gq)
+    first = seq_g.first_occurrences(HORIZON)
     if len(first) < n:
         missing = min(set(range(n)) - set(first))
         raise ProveFailure(
             FailureStage.DECOMPOSITION_STUCK,
-            f"symbol {missing} does not occur in the first {config.horizon} "
+            f"symbol {missing} does not occur in the first {HORIZON} "
             "symbols of g's fixed point",
         )
     # g(i) starts where the images of the symbols before the first i end.
     glen = gq.image_lengths()
     ends = list(accumulate((glen[s] for s in seq_g.prefix(max(first.values()))), initial=0))
 
-    seq_f = FixedPoint(fp, 0)
+    seq_f = FixedPoint(fp)
     us: list[Word] = []
     for i in range(n):
         v = gq.images[i]
         start = ends[first[i]]
         end = start + len(v)
-        if end > config.prefix_budget:
+        if end > PREFIX_BUDGET:
             raise ProveFailure(
                 FailureStage.DECOMPOSITION_STUCK,
-                f"pair for symbol {i} needs more than {config.prefix_budget} "
+                f"pair for symbol {i} needs more than {PREFIX_BUDGET} "
                 "symbols of f's fixed point",
             )
         us.append(seq_f.factor(start, end))

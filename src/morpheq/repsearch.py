@@ -368,7 +368,7 @@ def search(spec: SearchSpec) -> list[FoundRep]:
     shape = (target, spec.alphabet_size, spec.max_image_len, spec.prefix_len)
     searcher = _Searcher(*shape)
     tasks = searcher.tasks()
-    target_size = max(spec.target) + 1
+    target_size = max(target) + 1
     codings: dict[tuple[int, ...], Coding] = {}
     found: list[FoundRep] = []
 
@@ -401,7 +401,7 @@ def canonical_form(f: Morphism, coding: Coding) -> tuple[Morphism, Coding]:
     Every symbol must occur within CANONICAL_PREFIX symbols of the fixed
     point; unreachable symbols make the renaming undefined.
     """
-    order = list(FixedPoint(f, 0).first_occurrences(CANONICAL_PREFIX))
+    order = list(FixedPoint(f).first_occurrences(CANONICAL_PREFIX))
     if len(order) < f.alphabet_size:
         raise ValueError(f"not all symbols occur in the first {CANONICAL_PREFIX} symbols")
     return rename_symbols(f, coding, order)

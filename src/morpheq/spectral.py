@@ -1,11 +1,10 @@
 """Incidence matrices of morphisms and exact growth-rate estimates.
 
 The incidence matrix M of f counts occurrences: M[i][j] is the number of
-times symbol i occurs in f(j).  Symbol counts of f^k(w) are then matrix
-powers acting on the count vector of w, which keeps every computation on
-arbitrary-precision integers and never expands a word.  The dominant
-eigenvalue is estimated by the exact rational |f^(n+1)(a)| / |f^n(a)|,
-with the lengths taken from Morphism.power_lengths.
+times symbol i occurs in f(j), so the incidence matrix of f^k is M^k.  The
+dominant eigenvalue is estimated by the exact rational
+|f^(n+1)(a)| / |f^n(a)|, with the lengths taken from Morphism.power_lengths,
+on arbitrary-precision integers and without expanding a word.
 """
 
 from __future__ import annotations
@@ -28,31 +27,6 @@ def incidence_matrix(f: Morphism) -> IntMatrix:
             col[s] += 1
         cols.append(col)
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def mat_vec(m: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
-def parikh_vector(f: Morphism, a: int, k: int) -> tuple[int, ...]:
-    """Symbol counts of f^k(a), via k matrix-vector products on the unit vector."""
-    n = f.alphabet_size
-    if not 0 <= a < n:
-        raise AlphabetError(f"symbol {a} outside alphabet of size {n}")
-    if k < 0:
-        raise ValueError("power must be non-negative")
-    m = incidence_matrix(f)
-    v = tuple(1 if i == a else 0 for i in range(n))
-    for _ in range(k):
-        v = mat_vec(m, v)
-    return v
 
 
 @dataclass(frozen=True)
@@ -82,25 +56,3 @@ def estimate_eigenvalue(f: Morphism, a: int, n: int = 8) -> EigenEstimate:
     length_now = next(lengths)[a]
     length_next = next(lengths)[a]
     return EigenEstimate(length_next, length_now, n)
-
-
-def is_primitive(f: Morphism) -> bool:
-    """Whether some power of the incidence matrix is strictly positive.
-
-    Checked on the positivity pattern: close the boolean matrix under
-    multiplication up to the Wielandt bound (n-1)^2 + 1, beyond which a
-    primitive matrix must already be positive.
-    """
-    n = f.alphabet_size
-    m = incidence_matrix(f)
-    reach = tuple(tuple(x > 0 for x in row) for row in m)
-    base = reach
-    bound = (n - 1) ** 2 + 1
-    for _ in range(bound):
-        if all(all(row) for row in reach):
-            return True
-        reach = tuple(
-            tuple(any(reach[i][k] and base[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-    return all(all(row) for row in reach)

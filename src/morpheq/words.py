@@ -2,10 +2,11 @@
 
 Symbols are plain ints 0..n-1 and words are tuples of symbols.  A morphism
 maps each symbol to a non-empty word over the same alphabet; a coding maps
-each symbol to a single symbol of a target alphabet.  A morphism f that is
-prolongable at a (f(a) starts with a and is longer than one symbol) has a
-unique infinite fixed point f^oo(a), exposed here as FixedPoint: a buffer
-that grows by applying f to the part of the sequence already known.
+each symbol to a single symbol of a target alphabet.  Every fixed point
+here starts at symbol 0: a morphism f prolongable at 0 (f(0) starts with 0
+and is longer than one symbol) has a unique infinite fixed point f^oo(0),
+exposed here as FixedPoint: a buffer that grows by applying f to the part
+of the sequence already known.
 
 FixedPoint and MorphicRep keep expanded sequences as bytes, one byte per
 symbol, so both need alphabets of at most 256 symbols (ALPHABET_LIMIT): the
@@ -19,7 +20,7 @@ most n // READ_SHARE bytes and never more than CHUNK, so reads of up to
 READ_SHARE * POWER_BYTES symbols keep the first power.  Each square's size
 is told from the image lengths before it is built.  A step over symbols
 whose images all have length 1, as in an eventually periodic tail, is one
-bytes.translate.
+bytes.translate, run on up to the next symbol with a longer image.
 
 Morphism.power_lengths gives |f^k(a)| as the sum of |f^(k-1)(s)| over the
 symbols s of f(a), without expanding; Morphism.power uses it to refuse
@@ -65,7 +66,7 @@ class AlphabetError(ValueError):
 
 
 class NotProlongableError(ValueError):
-    """The morphism has no infinite fixed point at the requested symbol."""
+    """The morphism has no infinite fixed point at symbol 0."""
 
 
 class PowerLimitError(ValueError):
@@ -77,6 +78,12 @@ def _check_byte_alphabet(size: int, what: str) -> None:
         raise AlphabetError(
             f"{what} has {size} symbols; expanded sequences hold at most {ALPHABET_LIMIT}"
         )
+
+
+def _check_expandable(morphism: Morphism) -> None:
+    _check_byte_alphabet(morphism.alphabet_size, "morphism alphabet")
+    if not morphism.is_prolongable(0):
+        raise NotProlongableError("image of 0 must start with 0 and have length >= 2")
 
 
 def is_digits(text: str) -> bool:
@@ -262,7 +269,7 @@ def _resume_point(buf: bytearray, lengths: tuple[int, ...], stop: int) -> tuple[
 
 
 class FixedPoint:
-    """Prefix of the infinite fixed point f^oo(a), extended on demand.
+    """Prefix of the infinite fixed point f^oo(0), extended on demand.
 
     The buffer is grown by the standard trick: the fixed point equals
     f(s_0) f(s_1) f(s_2) ... over its own symbols s_i, so appending the
@@ -276,22 +283,16 @@ class FixedPoint:
     MAX_PREFIX symbols, which bounds every read.
     """
 
-    def __init__(self, morphism: Morphism, start: int = 0):
-        _check_byte_alphabet(morphism.alphabet_size, "morphism alphabet")
-        if not morphism.is_prolongable(start):
-            raise NotProlongableError(
-                f"image of {start} must start with {start} and have length >= 2"
-            )
-        self.morphism = morphism
-        self.start = start
+    def __init__(self, morphism: Morphism):
+        _check_expandable(morphism)
         # Only symbols after position 0 are ever consumed.
-        self._consumed = _closure(morphism, morphism.images[start][1:])
-        self._symbols = self._consumed | {start}
+        self._consumed = _closure(morphism, morphism.images[0][1:])
+        self._symbols = self._consumed | {0}
         images = tuple(
             bytes(im) if s in self._symbols else b"" for s, im in enumerate(morphism.images)
         )
         self._set_power(*_power_images(images, POWER_BYTES))
-        self._buf = bytearray(self._images[start])
+        self._buf = bytearray(self._images[0])
         self._next = 1
 
     def _set_power(self, images: tuple[bytes, ...], square_size: int) -> None:
@@ -333,12 +334,16 @@ class FixedPoint:
         while len(buf) < n:
             # A step appends at most `want` bytes or one image; every consumed
             # symbol appends at least one, so the consumer never catches up.
+            # A translate step appends one byte per symbol, so it runs on to
+            # the next symbol with a longer image, within `want` symbols.
             start = self._next
             want = min(max(n - len(buf), POWER_BYTES), CHUNK)
             stop = min(len(buf), start + max(1, want // longest))
             chunk = buf[start:stop]
             if short is not None and not any(map(chunk.__contains__, long)):
-                buf += chunk.translate(short)
+                ends = [buf.find(s, stop, start + want) for s in long]
+                stop = min([len(buf), start + want] + [i for i in ends if i >= 0])
+                buf += buf[start:stop].translate(short)
             else:
                 buf += b"".join([images[s] for s in chunk])
             self._next = stop
@@ -390,27 +395,22 @@ class MorphicRep:
 
     morphism: Morphism
     coding: Coding
-    start: int = 0
 
     def __post_init__(self):
-        _check_byte_alphabet(self.morphism.alphabet_size, "morphism alphabet")
+        _check_expandable(self.morphism)
         _check_byte_alphabet(self.coding.target_size, "coding target alphabet")
         if self.coding.source_size != self.morphism.alphabet_size:
             raise AlphabetError(
                 f"coding covers {self.coding.source_size} symbols, "
                 f"morphism has {self.morphism.alphabet_size}"
             )
-        if not self.morphism.is_prolongable(self.start):
-            raise NotProlongableError(
-                f"image of {self.start} must start with {self.start} and have length >= 2"
-            )
 
     @classmethod
-    def pure(cls, morphism: Morphism, start: int = 0) -> MorphicRep:
-        return cls(morphism, Coding.identity(morphism.alphabet_size), start)
+    def pure(cls, morphism: Morphism) -> MorphicRep:
+        return cls(morphism, Coding.identity(morphism.alphabet_size))
 
     def fixed_point(self) -> FixedPoint:
-        return FixedPoint(self.morphism, self.start)
+        return FixedPoint(self.morphism)
 
     def _table(self) -> bytes:
         """The coding as a bytes.translate table."""

@@ -4,6 +4,7 @@ from time import perf_counter
 
 import pytest
 
+from morpheq import prover
 from morpheq.formats import parse_problem
 from morpheq.prover import (
     MAX_PAIR_LEN,
@@ -96,13 +97,14 @@ class TestDeriveTable:
             derive_table(f, Coding.identity(2), g, bad_rho)
         assert exc.value.stage is FailureStage.CODING_MISMATCH
 
-    def test_pair_budget(self):
+    def test_pair_budget(self, monkeypatch):
         f = Morphism.from_strings("010", "01")
         g = Morphism.from_strings("02", "021", "102")
-        config = ProverConfig(max_pairs=1)
+        monkeypatch.setattr(prover, "MAX_PAIRS", 1)
         with pytest.raises(ProveFailure) as exc:
-            derive_table(f, Coding.identity(2), g, Coding.from_string("001"), config)
+            derive_table(f, Coding.identity(2), g, Coding.from_string("001"))
         assert exc.value.stage is FailureStage.PAIR_BUDGET_EXCEEDED
+        assert exc.value.detail == "more than 1 safe pairs needed"
 
 
 class TestProveGeneral:
@@ -212,13 +214,23 @@ class TestProveBasic:
             prove_basic(problem)
         assert exc.value.stage is FailureStage.CODING_MISMATCH
 
-    def test_symbol_missing_within_horizon_is_decomposition_stuck(self):
+    def test_symbol_missing_within_horizon_is_decomposition_stuck(self, monkeypatch):
         fib = Morphism.from_strings("01", "0")
         problem = EqualityProblem(fib, Coding.identity(2), fib, Coding.identity(2))
+        monkeypatch.setattr(prover, "HORIZON", 1)
         with pytest.raises(ProveFailure) as exc:
-            prove_basic(problem, ProverConfig(horizon=1))
+            prove_basic(problem)
         assert exc.value.stage is FailureStage.DECOMPOSITION_STUCK
         assert "symbol 1 does not occur in the first 1 symbols" in exc.value.detail
+
+    def test_pair_past_the_prefix_budget_is_decomposition_stuck(self, monkeypatch):
+        fib = Morphism.from_strings("01", "0")
+        problem = EqualityProblem(fib, Coding.identity(2), fib, Coding.identity(2))
+        monkeypatch.setattr(prover, "PREFIX_BUDGET", 1)
+        with pytest.raises(ProveFailure) as exc:
+            prove_basic(problem)
+        assert exc.value.stage is FailureStage.DECOMPOSITION_STUCK
+        assert exc.value.detail == "pair for symbol 0 needs more than 1 symbols of f's fixed point"
 
     def test_reflexive_problem_reads_u_from_images(self):
         fib = Morphism.from_strings("01", "0")

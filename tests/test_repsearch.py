@@ -1,6 +1,7 @@
 """Exhaustive representation search: exact small censuses and guards."""
 
 import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -124,6 +125,13 @@ class TestSearch:
         assert len(built) == 1 + 1
         assert res == search(dataclasses.replace(spec, jobs=1))
 
+    def test_symbols_past_the_prefix_do_not_change_the_results(self):
+        fib12 = fib_rep().prefix(12)
+        spec = SearchSpec(target=fib12, alphabet_size=3, max_image_len=2, prefix_len=12)
+        res = search(spec)
+        assert res and {r.coding.target_size for r in res} == {2}
+        assert search(dataclasses.replace(spec, target=fib12 + (7,))) == res
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_equal_coding_tables_share_one_coding(self, jobs):
         target = fib_rep().prefix(40)
@@ -161,52 +169,52 @@ def recording_pool(started):
     return RecordingPool
 
 
-def forced_coding(images, target, prefix_len):
-    """The coding that makes this morphism a search result, or None.
+@functools.cache
+def walked_prefixes(n, max_len, prefix_len):
+    """(images, prefix) for every morphism over n symbols that a search may report.
 
     Grows the fixed point at 0 by consuming its own symbols until it holds
-    prefix_len symbols; every symbol must be consumed on the way, symbols
-    must first appear in increasing order, and coding each symbol by the
-    target at its first occurrence must reproduce the prefix.
+    prefix_len symbols; every symbol must be consumed on the way, and
+    symbols must first appear in increasing order.  Nothing here depends on
+    the target, so the list is built once for each shape.
     """
-    root = images[0]
-    if root[0] != 0 or len(root) < 2:
-        return None
-    buf = list(root)
-    consumed = {0}
-    ptr = 1
-    while len(buf) < prefix_len:
-        consumed.add(buf[ptr])
-        buf.extend(images[buf[ptr]])
-        ptr += 1
-    if len(consumed) < len(images):
-        return None
-    prefix = buf[:prefix_len]
-    if list(dict.fromkeys(prefix)) != list(range(len(images))):
-        return None
-    table = tuple(target[prefix.index(s)] for s in range(len(images)))
-    if any(table[s] != t for s, t in zip(prefix, target)):
-        return None
-    return table
+    words = [w for k in range(1, max_len + 1) for w in itertools.product(range(n), repeat=k)]
+    out = []
+    for images in itertools.product(words, repeat=n):
+        root = images[0]
+        if root[0] != 0 or len(root) < 2:
+            continue
+        buf = list(root)
+        consumed = {0}
+        ptr = 1
+        while len(buf) < prefix_len:
+            consumed.add(buf[ptr])
+            buf.extend(images[buf[ptr]])
+            ptr += 1
+        prefix = tuple(buf[:prefix_len])
+        if len(consumed) == n and list(dict.fromkeys(prefix)) == list(range(n)):
+            out.append((images, prefix))
+    return out
 
 
 def brute_force(target, n, max_len, prefix_len):
-    """Every (images, coding) pair over n symbols that search should report."""
-    words = [w for k in range(1, max_len + 1) for w in itertools.product(range(n), repeat=k)]
+    """Every (images, coding) pair over n symbols that search should report:
+    coding each symbol by the target at its first occurrence must reproduce
+    the prefix."""
     found = set()
-    for images in itertools.product(words, repeat=n):
-        table = forced_coding(images, target, prefix_len)
-        if table is not None:
+    for images, prefix in walked_prefixes(n, max_len, prefix_len):
+        table = tuple(target[prefix.index(s)] for s in range(n))
+        if all(table[s] == t for s, t in zip(prefix, target)):
             found.add((images, table))
     return found
 
 
-def agrees_with_brute_force(target, n, max_len, prefix_len):
-    """search at one and two jobs reports exactly the brute-force set; its size."""
+def agrees_with_brute_force(target, n, max_len, prefix_len, jobs=(1, 2)):
+    """search at each job count reports exactly the brute-force set; its size."""
     spec = SearchSpec(target=target, alphabet_size=n, max_image_len=max_len, prefix_len=prefix_len)
     expected = brute_force(target, n, max_len, prefix_len)
-    for jobs in (1, 2):
-        res = search(dataclasses.replace(spec, jobs=jobs))
+    for count in jobs:
+        res = search(dataclasses.replace(spec, jobs=count))
         assert {(r.morphism.images, r.coding.table) for r in res} == expected
         assert len(res) == len(expected)
     return len(expected)
@@ -230,7 +238,7 @@ class TestAgainstBruteForce:
     )
     def test_binary_targets(self, target, n, data):
         prefix_len = data.draw(st.integers(1, len(target)))
-        agrees_with_brute_force(target, n, 2, prefix_len)
+        agrees_with_brute_force(target, n, 2, prefix_len, jobs=(1,))
 
     # Ternary targets with images of up to three symbols: the symbol at a
     # branch point recurs in the buffered tail, and the images it may take
@@ -251,8 +259,15 @@ class TestAgainstBruteForce:
     )
     def test_ternary_fixed_points(self, images, prefix_len):
         f = Morphism(((0, *images[0]), tuple(images[1]), tuple(images[2])))
-        target = FixedPoint(f, 0).prefix(prefix_len)
-        agrees_with_brute_force(target, 3, 3, prefix_len)
+        target = FixedPoint(f).prefix(prefix_len)
+        agrees_with_brute_force(target, 3, 3, prefix_len, jobs=(1,))
+
+    # The examples above run in process, so that a wrong search fails them
+    # fast; these run the same kind of target over a pool.
+    @pytest.mark.parametrize("images", [("01", "12", "2"), ("02", "21", "10"), ("012", "2", "11")])
+    def test_ternary_fixed_points_in_a_pool(self, images):
+        target = FixedPoint(Morphism.from_strings(*images)).prefix(20)
+        assert agrees_with_brute_force(target, 3, 3, 20, jobs=(2,)) > 0
 
 
 class TestGuards:

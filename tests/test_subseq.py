@@ -146,10 +146,11 @@ class TestCatalog:
         assert format_word(builtin_prefix("spir", 15)) == SPIR_15
 
     def test_spir_ones_positions(self):
-        word = builtin_prefix("spir", 100)
+        n = 10**5
+        word = builtin_prefix("spir", n)
         ones = [i for i, s in enumerate(word) if s == 1]
-        expected = [k * (k + 1) // 2 for k in range(15)]
-        assert ones == [p for p in expected if p < 100]
+        expected = [k * (k + 1) // 2 for k in range(450)]
+        assert ones == [p for p in expected if p < n]
 
     def test_even_fib_builtin_matches_subsequence(self):
         assert builtin_prefix("even-fib", 200) == fib_rep().prefix(400)[0::2]

@@ -28,7 +28,9 @@ from morpheq.words import (
 )
 
 FIB = Morphism.from_strings("01", "0")
-SPIR = Morphism.from_strings("0", "01", "21")
+SPIR = Morphism.from_strings("01", "21", "2")
+# SPIR with symbols 0 and 2 swapped: prolongable at 2, not at 0.
+SPIR_AT_2 = Morphism.from_strings("0", "01", "21")
 
 
 def test_parse_word_round_trip():
@@ -57,7 +59,7 @@ def test_format_word_rejects_wide_symbols():
 def test_apply_concatenates_images():
     assert FIB.apply((0, 1, 0, 0, 1)) == parse_word("01001010")
     assert FIB.apply(()) == ()
-    assert SPIR.apply((2, 1, 0, 1)) == parse_word("2101001")
+    assert SPIR.apply((0, 1, 2, 1)) == parse_word("0121221")
 
 
 def test_apply_rejects_out_of_range_symbol():
@@ -102,22 +104,22 @@ def test_power_lengths_follow_the_powers():
 
 
 def test_fixed_point_prefix():
-    assert FixedPoint(FIB, 0).prefix(8) == parse_word("01001010")
-    assert FixedPoint(FIB, 0).prefix(1) == (0,)
-    assert FixedPoint(SPIR, 2).prefix(16) == parse_word("2101001000100001")
+    assert FixedPoint(FIB).prefix(8) == parse_word("01001010")
+    assert FixedPoint(FIB).prefix(1) == (0,)
+    assert FixedPoint(SPIR).prefix(16) == parse_word("0121221222122221")
 
 
 def test_fixed_point_requires_prolongable():
+    with pytest.raises(NotProlongableError, match="image of 0 must start with 0"):
+        FixedPoint(SPIR_AT_2)
     with pytest.raises(NotProlongableError):
-        FixedPoint(FIB, 1)
+        FixedPoint(Morphism.from_strings("0"))
     with pytest.raises(NotProlongableError):
-        FixedPoint(Morphism.from_strings("0"), 0)
-    with pytest.raises(NotProlongableError):
-        FixedPoint(Morphism.from_strings("10", "11"), 0)
+        FixedPoint(Morphism.from_strings("10", "11"))
 
 
 def test_fixed_point_factor():
-    s = FixedPoint(FIB, 0)
+    s = FixedPoint(FIB)
     assert s.factor(0, 2) == (0, 1)
     assert s.factor(3, 8) == parse_word("01010")
     assert s.factor(5, 5) == ()
@@ -126,7 +128,7 @@ def test_fixed_point_factor():
 
 
 def test_fixed_point_extension_is_stable():
-    s = FixedPoint(FIB, 0)
+    s = FixedPoint(FIB)
     short = s.prefix(10)
     long = s.prefix(500)
     assert long[:10] == short
@@ -152,7 +154,7 @@ def test_coding_validation():
 
 
 def test_morphic_rep_prefix_applies_coding():
-    rep = MorphicRep(SPIR, Coding.from_string("011"), start=2)
+    rep = MorphicRep(SPIR, Coding.from_string("110"))
     assert format_word(rep.prefix(16)) == "1101001000100001"
     pure = MorphicRep.pure(FIB)
     assert pure.prefix(8) == parse_word("01001010")
@@ -161,8 +163,10 @@ def test_morphic_rep_prefix_applies_coding():
 def test_morphic_rep_validation():
     with pytest.raises(AlphabetError):
         MorphicRep(FIB, Coding.from_string("011"))
+    with pytest.raises(NotProlongableError, match="image of 0 must start with 0"):
+        MorphicRep(SPIR_AT_2, Coding.from_string("011"))
     with pytest.raises(NotProlongableError):
-        MorphicRep(FIB, Coding.identity(2), start=1)
+        MorphicRep(Morphism.from_strings("0", "0"), Coding.identity(2))
 
 
 def test_prune_unreachable_keeps_reachable_alphabet():
@@ -176,8 +180,8 @@ def test_prune_unreachable_keeps_reachable_alphabet():
 
 def test_prune_unreachable_is_identity_when_all_occur():
     tau = Coding.from_string("011")
-    pruned, coding, start = prune_unreachable(SPIR, tau, 2)
-    assert pruned == SPIR
+    pruned, coding, start = prune_unreachable(SPIR_AT_2, tau, 2)
+    assert pruned == SPIR_AT_2
     assert coding == tau
     assert start == 2
 
@@ -188,13 +192,14 @@ def test_prune_renumbers_and_preserves_sequence():
     tau = Coding((0, 1, 1, 1), 2)
     pruned, coding, start = prune_unreachable(f, tau, 0)
     assert pruned.alphabet_size == 2
-    before = tau.apply(FixedPoint(f, 0).prefix(200))
-    after = coding.apply(FixedPoint(pruned, start).prefix(200))
+    assert start == 0
+    before = tau.apply(FixedPoint(f).prefix(200))
+    after = coding.apply(FixedPoint(pruned).prefix(200))
     assert before == after
 
 
-def naive_fixed_point(f, a, n):
-    out = list(f.images[a])
+def naive_fixed_point(f, n):
+    out = list(f.images[0])
     i = 1
     while len(out) < n:
         out.extend(f.images[out[i]])
@@ -205,40 +210,42 @@ def naive_fixed_point(f, a, n):
 CHUNK_LENGTHS = (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
 # 0 -> 02, 1 -> 0^200, 2 -> 2: symbol 1 never occurs in the fixed point 0222...
 UNREACHABLE_LONG = Morphism.from_strings("02", "0" * 200, "2")
-# Fibonacci, the even-Fibonacci representation, and four morphisms with
+# Fibonacci, the even-Fibonacci representation, and five morphisms with
 # length-1 images whose buffers run only slowly ahead of their consumers:
-# spir's grows quadratically, and 0 -> 02, 1 -> 2, 2 -> 1 linearly, with the
+# spir's and that of 0 -> 01, 1 -> 12, 2 -> 2, whose 2s come in ever longer
+# runs, grow quadratically, and 0 -> 02, 1 -> 2, 2 -> 1 linearly, with the
 # eventually periodic fixed point 0212121..., as do UNREACHABLE_LONG's and
 # that of 0 -> 01 and the 3-cycle 1 -> 2 -> 3 -> 1, 0123123..., which no
 # power f^(2^j) maps to itself symbol by symbol.
 EXPANDED = {
-    "fib": (FIB, 0),
-    "even-fib": (even_fib_rep().morphism, 0),
-    "spir": (SPIR, 2),
-    "periodic-tail": (Morphism.from_strings("02", "2", "1"), 0),
-    "periodic-cycle": (Morphism.from_strings("01", "2", "3", "1"), 0),
-    "unreachable-long": (UNREACHABLE_LONG, 0),
+    "fib": FIB,
+    "even-fib": even_fib_rep().morphism,
+    "spir": SPIR,
+    "polynomial": Morphism.from_strings("01", "12", "2"),
+    "periodic-tail": Morphism.from_strings("02", "2", "1"),
+    "periodic-cycle": Morphism.from_strings("01", "2", "3", "1"),
+    "unreachable-long": UNREACHABLE_LONG,
 }
 
 
 @pytest.mark.parametrize("n", CHUNK_LENGTHS)
 @pytest.mark.parametrize("name", sorted(EXPANDED))
 def test_fixed_point_across_chunk_boundaries(name, n):
-    f, a = EXPANDED[name]
-    expected = naive_fixed_point(f, a, n)
-    assert FixedPoint(f, a).prefix(n) == tuple(expected)
-    assert FixedPoint(f, a).at(n - 1) == expected[n - 1]
-    assert FixedPoint(f, a).factor(CHUNK - 3, n) == tuple(expected[CHUNK - 3:])
-    grown = FixedPoint(f, a)
+    f = EXPANDED[name]
+    expected = naive_fixed_point(f, n)
+    assert FixedPoint(f).prefix(n) == tuple(expected)
+    assert FixedPoint(f).at(n - 1) == expected[n - 1]
+    assert FixedPoint(f).factor(CHUNK - 3, n) == tuple(expected[CHUNK - 3:])
+    grown = FixedPoint(f)
     assert [grown.at(i) for i in range(CHUNK - 2, n)] == expected[CHUNK - 2:]
 
 
 @pytest.mark.parametrize("name", sorted(EXPANDED))
 def test_fixed_point_walk_symbol_by_symbol(name):
-    f, a = EXPANDED[name]
+    f = EXPANDED[name]
     n = 4 * POWER_BYTES
-    expected = naive_fixed_point(f, a, n)
-    walked = FixedPoint(f, a)
+    expected = naive_fixed_point(f, n)
+    walked = FixedPoint(f)
     assert [walked.at(i) for i in range(n)] == expected
     assert walked.prefix(POWER_BYTES + 1) == tuple(expected[:POWER_BYTES + 1])
 
@@ -267,9 +274,9 @@ REPOWERED_READ = 11 * CHUNK
 
 @pytest.mark.parametrize("name", sorted(EXPANDED))
 def test_growing_reads_across_re_powers(name, repowers):
-    f, a = EXPANDED[name]
-    expected = tuple(naive_fixed_point(f, a, REPOWERED_READ))
-    fp = FixedPoint(f, a)
+    f = EXPANDED[name]
+    expected = tuple(naive_fixed_point(f, REPOWERED_READ))
+    fp = FixedPoint(f)
     lengths = [len(fp)]
     for k in range(0, REPOWERED_READ, CHUNK):
         assert fp.factor(k, k + CHUNK) == expected[k:k + CHUNK]
@@ -281,8 +288,8 @@ def test_growing_reads_across_re_powers(name, repowers):
 
 @pytest.mark.parametrize("name", sorted(EXPANDED))
 def test_reads_up_to_the_first_size_class_keep_the_first_power(name, repowers):
-    f, a = EXPANDED[name]
-    FixedPoint(f, a).prefix(READ_SHARE * POWER_BYTES)
+    f = EXPANDED[name]
+    FixedPoint(f).prefix(READ_SHARE * POWER_BYTES)
     assert repowers == []
 
 
@@ -290,7 +297,7 @@ def test_power_ignores_images_never_read():
     # The long image of the unreachable symbol 1 does not count against
     # POWER_BYTES, so the buffer starts as f^128(0) = 0 2^128, the longest
     # such power whose read images 0 2^k and 2 total at most 256 bytes.
-    assert len(FixedPoint(UNREACHABLE_LONG, 0)) == 129
+    assert len(FixedPoint(UNREACHABLE_LONG)) == 129
 
 
 def test_long_images_are_not_squared():
@@ -299,7 +306,7 @@ def test_long_images_are_not_squared():
     f = Morphism(((0,) + (1,) * n, (1,) * n))
     tracemalloc.start()
     try:
-        fp = FixedPoint(f, 0)
+        fp = FixedPoint(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -312,7 +319,7 @@ def test_re_powering_long_images_stays_within_the_cap(repowers):
     # about 2 * 10^8, which lengths-first squaring never builds.
     f = Morphism(((0,) + (1,) * 100, (1,) * 100))
     n = 1 << 21
-    fp = FixedPoint(f, 0)
+    fp = FixedPoint(f)
     tracemalloc.start()
     try:
         fp.extend_to(n)
@@ -430,12 +437,12 @@ def test_byte_buffers_limit_the_alphabet():
 
     edge = wide(ALPHABET_LIMIT)
     n = 2 * POWER_BYTES
-    assert FixedPoint(edge, 0).prefix(n) == (0,) + (255,) * (n - 1)
+    assert FixedPoint(edge).prefix(n) == (0,) + (255,) * (n - 1)
     reverse = Coding(tuple(reversed(range(ALPHABET_LIMIT))), ALPHABET_LIMIT)
     assert MorphicRep(edge, reverse).prefix(3) == (255, 0, 0)
     too_wide = wide(ALPHABET_LIMIT + 1)
     with pytest.raises(AlphabetError, match="at most 256"):
-        FixedPoint(too_wide, 0)
+        FixedPoint(too_wide)
     with pytest.raises(AlphabetError, match="at most 256"):
         MorphicRep(too_wide, Coding.identity(ALPHABET_LIMIT + 1))
     with pytest.raises(AlphabetError, match="at most 256"):
@@ -444,29 +451,29 @@ def test_byte_buffers_limit_the_alphabet():
 
 @pytest.mark.parametrize("name", sorted(EXPANDED))
 def test_first_occurrences_match_a_scan(name):
-    f, a = EXPANDED[name]
-    prefix = naive_fixed_point(f, a, 3 * CHUNK)
+    f = EXPANDED[name]
+    prefix = naive_fixed_point(f, 3 * CHUNK)
     expected = {}
     for i, s in enumerate(prefix):
         expected.setdefault(s, i)
-    found = FixedPoint(f, a).first_occurrences(3 * CHUNK)
+    found = FixedPoint(f).first_occurrences(3 * CHUNK)
     assert list(found.items()) == list(expected.items())
 
 
 def test_first_occurrences():
-    assert FixedPoint(FIB, 0).first_occurrences(10) == {0: 0, 1: 1}
-    assert FixedPoint(FIB, 0).first_occurrences(1) == {0: 0}
-    assert FixedPoint(FIB, 0).first_occurrences(0) == {}
-    even_fib = FixedPoint(even_fib_rep().morphism, 0)
+    assert FixedPoint(FIB).first_occurrences(10) == {0: 0, 1: 1}
+    assert FixedPoint(FIB).first_occurrences(1) == {0: 0}
+    assert FixedPoint(FIB).first_occurrences(0) == {}
+    even_fib = FixedPoint(even_fib_rep().morphism)
     assert list(even_fib.first_occurrences(100).items()) == [(0, 0), (1, 1), (2, 2), (3, 3), (4, 6)]
     # 2 first occurs past the first CHUNK symbols.
     late = Morphism(((0,) + (1,) * CHUNK + (2,), (1,), (2,)))
-    assert FixedPoint(late, 0).first_occurrences(CHUNK + 1) == {0: 0, 1: 1}
-    assert FixedPoint(late, 0).first_occurrences(CHUNK + 2) == {0: 0, 1: 1, 2: CHUNK + 1}
+    assert FixedPoint(late).first_occurrences(CHUNK + 1) == {0: 0, 1: 1}
+    assert FixedPoint(late).first_occurrences(CHUNK + 2) == {0: 0, 1: 1, 2: CHUNK + 1}
 
 
 def test_first_occurrences_stop_after_the_last_symbol():
     # 2 never occurs in the fixed point at 0, so no limit is ever reached.
-    s = FixedPoint(Morphism.from_strings("01", "0", "2"), 0)
+    s = FixedPoint(Morphism.from_strings("01", "0", "2"))
     assert s.first_occurrences(10**9) == {0: 0, 1: 1}
     assert len(s) < 1000
