@@ -98,7 +98,7 @@ class EqualityProblem:
         if self.rho.source_size != self.g.alphabet_size:
             raise ValueError("rho does not cover g's alphabet")
         for name, m in (("f", self.f), ("g", self.g)):
-            if not m.is_prolongable(0):
+            if not m.is_prolongable():
                 raise NotProlongableError(
                     f"{name}(0) must start with 0 and have length >= 2"
                 )
@@ -140,6 +140,10 @@ class Proof:
     q: int
     table: SafePairTable
     mode: ProofMode = ProofMode.GENERAL
+
+    def __post_init__(self):
+        if self.p < 1 or self.q < 1:
+            raise ValueError("exponents must be at least 1")
 
     @cached_property
     def scaled_f(self) -> Morphism:

@@ -16,14 +16,14 @@ symbols of the target.  The search walks a tree of partial assignments:
 
 Rejection before descent: at a branch point every buffered symbol is
 matched, so a new image lands on the next max_image_len target symbols, cut
-at prefix_len.  An image is viable only if each of its symbols whose coding
-is known, or was forced earlier in the same image, codes the target symbol
-it lands on; the others are dropped without descending.  The viable images
-depend only on the largest symbol seen, the coding so far and those target
-symbols, so they are cached under that key by a searcher.  One searcher
-serves a whole in-process search() call, or a whole pool worker process:
-the pool initializer builds it, so its cache lasts across all the tasks
-that worker runs and ends with the pool.
+at prefix_len.  Images are generated already fitted, one symbol at a time:
+a prefix is dropped at its first symbol whose coding is known, or was forced
+earlier in the same image, and is not the target symbol it lands on.  The
+fitted images depend only on the largest symbol seen, the coding so far and
+those target symbols, so a searcher caches them under that key.  One
+searcher serves a whole in-process search() call, or a whole pool worker
+process: the pool initializer builds it, so its cache lasts across all the
+tasks that worker runs and ends with the pool.
 
 Landing check: the length k of the new image alone fixes where the
 buffered symbols after the branch point land, up to the next other symbol
@@ -55,7 +55,7 @@ import concurrent.futures
 import os
 from dataclasses import dataclass
 
-from .words import ALPHABET_LIMIT, Coding, FixedPoint, Morphism, Word, rename_symbols
+from .words import ALPHABET_LIMIT, AlphabetError, Coding, FixedPoint, Morphism, Word, rename_symbols
 
 MAX_ALPHABET = 6
 MAX_IMAGE_LEN = 3
@@ -112,30 +112,6 @@ def complexity(f: Morphism) -> int:
     return sum(len(im) for im in f.images)
 
 
-def _candidate_images(max_seen: int, n: int, max_len: int) -> list[Word]:
-    """All images over the current alphabet, shortest first then lexicographic.
-
-    Symbols up to max_seen are free; larger ones must enter in increasing
-    order, each exactly one above the running maximum.
-    """
-    out: list[Word] = []
-    level: list[tuple[Word, int]] = [((), max_seen)]
-    for _ in range(max_len):
-        nxt: list[tuple[Word, int]] = []
-        for prefix, m in level:
-            for x in range(min(m + 1, n - 1) + 1):
-                grown = prefix + (x,)
-                nxt.append((grown, max(m, x)))
-        out.extend(w for w, _ in nxt)
-        level = nxt
-    return out
-
-
-def _root_images(n: int, max_len: int) -> list[Word]:
-    """Candidate images of 0: start with 0, at least two symbols."""
-    return [(0,) + w for w in _candidate_images(0, n, max_len - 1)]
-
-
 # A candidate image that fits the target where it lands: the image, the
 # codings it forces on the symbols it introduces, and the largest symbol seen
 # once it is placed.
@@ -155,18 +131,18 @@ class _Searcher:
     search() call or one pool worker process, and never outlives the pool.
     """
 
-    def __init__(self, target: Word, n: int, max_len: int, prefix_len: int):
+    def __init__(self, target: Word, n: int, max_len: int):
         self.target = target
         self.n = n
         self.max_len = max_len
-        self.N = prefix_len
+        self.N = len(target)
         self.images: list[Word | None] = [None] * n
         self.coding: list[int | None] = [None] * n
         self.buf: list[int] = []
         self.ptr = 0
         self.max_seen = 0
         self.results: list[_Result] = []
-        self._viable: dict[tuple, list[_Fit]] = {}
+        self._viable: dict[tuple, list[list[_Fit]]] = {}
 
     def tasks(self) -> list[_Task]:
         """One task per viable image at the first branch point below each root.
@@ -193,8 +169,9 @@ class _Searcher:
         return self.results
 
     def _roots(self) -> list[_Fit]:
-        window = self.target[: min(self.max_len, self.N)]
-        return self._fit(_root_images(self.n, self.max_len), -1, window)
+        """Images of 0 that fit: they start with 0 and have at least two symbols."""
+        groups = self._fitting(-1, self.target[: self.max_len])
+        return [fit for group in groups[1:] for fit in group]
 
     def _start(self, root: _Fit) -> bool:
         """Place an image of 0 and walk on; True when stopped at a branch point."""
@@ -208,51 +185,50 @@ class _Searcher:
         self.max_seen = seen
         return self._walk()
 
-    def _fit(self, images: list[Word], seen: int, window: Word) -> list[_Fit]:
-        """The images whose symbols code the window they would land on.
+    def _fitting(self, seen: int, window: Word) -> list[list[_Fit]]:
+        """The canonical images that code the window they land on, by length.
 
-        Symbols up to seen have a known coding; larger ones are new, and take
-        the target symbol at their first occurrence in the image.
+        Images grow one symbol at a time, and a prefix is dropped at its first
+        symbol that miscodes the window: a symbol up to seen must have its
+        coding, one introduced earlier in the image the code it took there,
+        and a new symbol, one above the running maximum, takes the target
+        symbol it lands on.  Past the window any symbol fits.  Group k - 1
+        holds the images of length k in lexicographic order.
         """
         coding = self.coding
-        out: list[_Fit] = []
-        for image in images:
-            codes: dict[int, int] = {}
-            for x, want in zip(image, window):
-                have = coding[x] if x <= seen else codes.setdefault(x, want)
-                if have != want:
-                    break
-            else:
-                out.append((image, tuple(codes.items()), max(seen, *image)))
-        return out
-
-    def _fits(self) -> list[_Fit]:
-        """Viable images for the symbol at ptr, cached for this search.
-
-        At a branch point every buffered symbol is matched, so the image lands
-        on the next max_len target symbols, cut at the prefix.  The viable
-        images depend only on those and the coding so far, which also fixes
-        max_seen.
-        """
-        pos = len(self.buf)
-        window = self.target[pos : min(pos + self.max_len, self.N)]
-        key = (tuple(self.coding), window)
-        fits = self._viable.get(key)
-        if fits is None:
-            candidates = _candidate_images(self.max_seen, self.n, self.max_len)
-            fits = self._fit(candidates, self.max_seen, window)
-            self._viable[key] = fits
-        return fits
+        level: list[_Fit] = [((), (), seen)]
+        groups = []
+        for i in range(self.max_len):
+            want = window[i] if i < len(window) else None
+            grown = []
+            for image, fresh, top in level:
+                for x in range(min(top + 1, self.n - 1) + 1):
+                    if want is None:
+                        grown.append((image + (x,), fresh, max(top, x)))
+                    elif x > top:
+                        grown.append((image + (x,), fresh + ((x, want),), x))
+                    elif (coding[x] if x <= seen else fresh[x - seen - 1][1]) == want:
+                        grown.append((image + (x,), fresh, top))
+            groups.append(grown)
+            level = grown
+        return groups
 
     def _choices(self) -> list[_Fit]:
-        """The viable images for the symbol at ptr whose length passes _lands."""
+        """The fitting images for the symbol at ptr whose length passes _lands.
+
+        They are cached under the coding so far, which also fixes max_seen,
+        and the target window they land on.
+        """
         lengths = [k for k in range(1, self.max_len + 1) if self._lands(k)]
         if not lengths:
             return []
-        fits = self._fits()
-        if len(lengths) == self.max_len:
-            return fits
-        return [fit for fit in fits if len(fit[0]) in lengths]
+        pos = len(self.buf)
+        window = self.target[pos : pos + self.max_len]
+        key = (tuple(self.coding), window)
+        groups = self._viable.get(key)
+        if groups is None:
+            groups = self._viable[key] = self._fitting(self.max_seen, window)
+        return [fit for k in lengths for fit in groups[k - 1]]
 
     def _lands(self, k: int) -> bool:
         """Whether an image of length k for the symbol s at ptr survives the tail.
@@ -353,9 +329,9 @@ class _Searcher:
 _worker: _Searcher | None = None
 
 
-def _start_worker(target: Word, n: int, max_len: int, prefix_len: int) -> None:
+def _start_worker(target: Word, n: int, max_len: int) -> None:
     global _worker
-    _worker = _Searcher(target, n, max_len, prefix_len)
+    _worker = _Searcher(target, n, max_len)
 
 
 def _search_task(task: _Task) -> list[_Result]:
@@ -365,7 +341,7 @@ def _search_task(task: _Task) -> list[_Result]:
 def search(spec: SearchSpec) -> list[FoundRep]:
     """All representations matching the target prefix, exhaustively."""
     target = spec.target[: spec.prefix_len]
-    shape = (target, spec.alphabet_size, spec.max_image_len, spec.prefix_len)
+    shape = (target, spec.alphabet_size, spec.max_image_len)
     searcher = _Searcher(*shape)
     tasks = searcher.tasks()
     target_size = max(target) + 1
@@ -401,6 +377,8 @@ def canonical_form(f: Morphism, coding: Coding) -> tuple[Morphism, Coding]:
     Every symbol must occur within CANONICAL_PREFIX symbols of the fixed
     point; unreachable symbols make the renaming undefined.
     """
+    if coding.source_size != f.alphabet_size:
+        raise AlphabetError("coding and morphism disagree on alphabet size")
     order = list(FixedPoint(f).first_occurrences(CANONICAL_PREFIX))
     if len(order) < f.alphabet_size:
         raise ValueError(f"not all symbols occur in the first {CANONICAL_PREFIX} symbols")

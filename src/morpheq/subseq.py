@@ -57,7 +57,7 @@ def block_encode(f: Morphism) -> tuple[Morphism, Coding, Coding]:
     """
     if any(len(im) % 2 == 0 for im in f.images):
         raise BlockEncodingError("every image must have odd length")
-    if not f.is_prolongable(0):
+    if not f.is_prolongable():
         raise BlockEncodingError("morphism must be prolongable at 0")
 
     blocks: list[tuple[int, int]] = [(f.images[0][0], f.images[0][1])]

@@ -82,7 +82,7 @@ def _check_byte_alphabet(size: int, what: str) -> None:
 
 def _check_expandable(morphism: Morphism) -> None:
     _check_byte_alphabet(morphism.alphabet_size, "morphism alphabet")
-    if not morphism.is_prolongable(0):
+    if not morphism.is_prolongable():
         raise NotProlongableError("image of 0 must start with 0 and have length >= 2")
 
 
@@ -169,11 +169,10 @@ class Morphism:
     def __pow__(self, k: int) -> Morphism:
         return self.power(k)
 
-    def is_prolongable(self, a: int) -> bool:
-        if not 0 <= a < len(self.images):
-            raise AlphabetError(f"symbol {a} outside alphabet")
-        im = self.images[a]
-        return im[0] == a and len(im) >= 2
+    def is_prolongable(self) -> bool:
+        """Whether the image of 0 starts with 0 and has at least two symbols."""
+        im = self.images[0]
+        return im[0] == 0 and len(im) >= 2
 
     def image_lengths(self) -> tuple[int, ...]:
         return tuple(len(im) for im in self.images)

@@ -35,6 +35,12 @@ class TestChecker:
         report = check_proof(replace(proof, q=2))
         assert "g-decomposition" in {v.condition for v in report.violations}
 
+    @pytest.mark.parametrize("change", [{"p": 0}, {"q": -1}])
+    def test_exponents_below_one_fail_at_construction(self, change):
+        proof = proof_for("fib_three_letter.txt")
+        with pytest.raises(ValueError, match="exponents must be at least 1"):
+            replace(proof, **change)
+
     def test_rejects_mutated_pair_word(self):
         proof = proof_for("fib_three_letter.txt")
         pairs = list(proof.table.pairs)

@@ -18,7 +18,7 @@ from morpheq.repsearch import (
     complexity,
     search,
 )
-from morpheq.words import Coding, FixedPoint, Morphism, MorphicRep
+from morpheq.words import AlphabetError, Coding, FixedPoint, Morphism, MorphicRep
 
 
 def images_of(rep: FoundRep) -> tuple[str, ...]:
@@ -96,7 +96,7 @@ class TestSearch:
         monkeypatch.setattr(repsearch.os, "cpu_count", lambda: cpus)
         target = fib_rep().prefix(30)
         spec = SearchSpec(target=target, alphabet_size=3, max_image_len=3, prefix_len=30, jobs=jobs)
-        tasks = len(repsearch._Searcher(target, 3, 3, 30).tasks())
+        tasks = len(repsearch._Searcher(target, 3, 3).tasks())
         assert 4 < tasks < 10**5
         assert search(spec) == search(dataclasses.replace(spec, jobs=1))
         expected = tasks if workers == "tasks" else workers
@@ -118,7 +118,7 @@ class TestSearch:
         monkeypatch.setattr(repsearch, "_Searcher", CountingSearcher)
         target = fib_rep().prefix(30)
         spec = SearchSpec(target=target, alphabet_size=3, max_image_len=3, prefix_len=30, jobs=2)
-        tasks = len(repsearch._Searcher(target, 3, 3, 30).tasks())
+        tasks = len(repsearch._Searcher(target, 3, 3).tasks())
         built.clear()
         res = search(spec)
         assert started == [2] and tasks > 2
@@ -270,6 +270,45 @@ class TestAgainstBruteForce:
         assert agrees_with_brute_force(target, 3, 3, 20, jobs=(2,)) > 0
 
 
+def enumerate_then_filter(seen, n, max_len, coding, window):
+    """The fits _fitting should give, in its order: every canonical image,
+    shortest first then lexicographic, kept when its symbols code the window."""
+    images, level = [], [((), seen)]
+    for _ in range(max_len):
+        level = [(w + (x,), max(m, x)) for w, m in level for x in range(min(m + 1, n - 1) + 1)]
+        images.extend(w for w, _ in level)
+    out = []
+    for image in images:
+        codes = {}
+        for x, want in zip(image, window):
+            have = coding[x] if x <= seen else codes.setdefault(x, want)
+            if have != want:
+                break
+        else:
+            out.append((image, tuple(codes.items()), max(seen, *image)))
+    return out
+
+
+class TestFitting:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("max_len", [1, 2, 3])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_matches_enumerate_then_filter(self, n, max_len, data):
+        """Same fits in the same order, for every seen and window length."""
+        coding = data.draw(st.lists(st.none() | st.integers(0, 2), min_size=n, max_size=n))
+        target = tuple(data.draw(st.lists(st.integers(0, 2), min_size=max_len, max_size=max_len)))
+        searcher = repsearch._Searcher(target, n, max_len)
+        searcher.coding = coding
+        for seen in range(-1, n):
+            for size in range(max_len + 1):
+                groups = searcher._fitting(seen, target[:size])
+                for k, group in enumerate(groups, 1):
+                    assert all(len(image) == k for image, _, _ in group)
+                fits = [fit for group in groups for fit in group]
+                assert fits == enumerate_then_filter(seen, n, max_len, coding, target[:size])
+
+
 class TestGuards:
     def test_alphabet_guard(self):
         with pytest.raises(SearchTooLargeError, match="alphabet size 7"):
@@ -332,6 +371,11 @@ class TestCanonicalForm:
         base = even_fib_rep()
         f, tau = canonical_form(base.morphism, base.coding)
         assert (f, tau) == (base.morphism, base.coding)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_rejects_a_coding_of_another_alphabet(self, size):
+        with pytest.raises(AlphabetError, match="coding and morphism disagree on alphabet size"):
+            canonical_form(fib_rep().morphism, Coding.identity(size))
 
     def test_rejects_unreachable_symbol(self):
         f = Morphism.from_strings("01", "0", "2")
