@@ -21,7 +21,7 @@ from . import catalog
 from .formats import parse_problem, parse_proof, parse_rep, serialize_proof
 from .proofdoc import check_proof, render_latex, render_text
 from .prover import MAX_PAIR_LEN, ProveFailure, ProverConfig, prove_basic, prove_general
-from .repsearch import MAX_ALPHABET, MAX_IMAGE_LEN, SearchSpec, search
+from .repsearch import MAX_ALPHABET, MAX_IMAGE_LEN, POOL_NODES, SearchSpec, search
 from .subseq import MAX_COUNT, MAX_ODD_POWER, arith_prefix, block_encode, odd_length_power
 from .words import MAX_PREFIX, MorphicRep, first_mismatch, format_word, is_digits, parse_word
 
@@ -204,7 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help=f"symbols of the target to match, at most {MAX_COUNT} of a builtin",
     )
-    searchp.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    searchp.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help=f"worker processes, started once the walk has visited {POOL_NODES} nodes",
+    )
     searchp.set_defaults(func=_cmd_search)
 
     return parser

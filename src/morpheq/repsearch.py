@@ -37,12 +37,15 @@ symbol without an image, so no result is lost.
 
 Task split: the walk from each image of 0 to its first branch point has no
 choices, so the search splits there into one task per image that passes
-both checks.  The same task list runs in process for one job and over a
-process pool otherwise, with at most one worker per task and per CPU; tasks
-that introduce more symbols tend to be larger and go first.  Each task's
-results are turned into FoundReps as soon as they arrive, so with a pool
-that work overlaps the walk; results with the same coding table share one
-Coding.
+both checks; tasks that introduce more symbols tend to be larger and are
+listed first.  The search walks tasks in process, smallest first, until the
+walk has visited POOL_NODES nodes, then runs the tasks left over a process
+pool, largest first, with at most one worker per job, per task left and per
+CPU.  With one job, one CPU or one task left there is no pool, and a walk
+that ends below POOL_NODES never starts one: a small search is over before a
+pool would have started.  Each task's results are turned into FoundReps as
+soon as they arrive, so with a pool that work overlaps the walk; results
+with the same coding table share one Coding.
 
 A result is reported only when every image was consumed while deriving the
 prefix, i.e. when the match leaves no free choice open.  Results come back
@@ -60,6 +63,12 @@ from .words import ALPHABET_LIMIT, AlphabetError, Coding, FixedPoint, Morphism, 
 MAX_ALPHABET = 6
 MAX_IMAGE_LEN = 3
 CANONICAL_PREFIX = 10**4
+# Walk nodes a search with more than one job visits in process before it
+# starts a pool.  With w workers the rest W of a walk costs W in process and
+# C + W/w over a pool, so at w = 2 the pool pays from W = 2C on.  At
+# C = 16.5 ms of pool start, warm-up and shutdown and c = 4.4 us per node
+# (2 vCPU), 2C/c is about 7500 nodes, rounded to a power of two.
+POOL_NODES = 8192
 
 
 class SearchTooLargeError(ValueError):
@@ -82,6 +91,10 @@ class SearchSpec:
                     f"target symbol {x!r} at position {i} is not an int"
                     f" in 0..{ALPHABET_LIMIT - 1}"
                 )
+        for name in ("alphabet_size", "max_image_len", "prefix_len", "jobs"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.alphabet_size < 1 or self.max_image_len < 1:
             raise ValueError("alphabet size and image length must be positive")
         if self.alphabet_size > MAX_ALPHABET:
@@ -142,6 +155,7 @@ class _Searcher:
         self.ptr = 0
         self.max_seen = 0
         self.results: list[_Result] = []
+        self.nodes = 0  # _walk calls, over tasks() and every run()
         self._viable: dict[tuple, list[list[_Fit]]] = {}
 
     def tasks(self) -> list[_Task]:
@@ -156,7 +170,7 @@ class _Searcher:
                 out.extend((root, fit) for fit in self._choices())
         # Every symbol seen but without an image is a branch point below, so
         # tasks whose first image leaves a larger symbol seen tend to be
-        # larger: run them first.
+        # larger: list them first.
         out.sort(key=lambda task: task[1][2], reverse=True)
         return out
 
@@ -275,6 +289,7 @@ class _Searcher:
         Returns True at a symbol without an image; False after a mismatch or
         once the prefix is full, recording a result if every image is chosen.
         """
+        self.nodes += 1
         buf = self.buf
         coding = self.coding
         target = self.target
@@ -357,13 +372,12 @@ def search(spec: SearchSpec) -> list[FoundRep]:
             found.append(FoundRep(f, coding, complexity(f)))
 
     collect(searcher.results)  # from roots whose walk had no branch point
-    workers = min(spec.jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        for task in tasks:
-            collect(searcher.run(task))
-    else:
+    workers = min(spec.jobs, os.cpu_count() or 1)
+    while tasks and (min(workers, len(tasks)) <= 1 or searcher.nodes < POOL_NODES):
+        collect(searcher.run(tasks.pop()))
+    if tasks:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_start_worker, initargs=shape
+            max_workers=min(workers, len(tasks)), initializer=_start_worker, initargs=shape
         ) as pool:
             for chunk in pool.map(_search_task, tasks):
                 collect(chunk)

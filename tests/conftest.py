@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from morpheq import repsearch
+
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 
@@ -24,6 +26,13 @@ def fixtures_dir() -> Path:
 @pytest.fixture
 def golden_dir() -> Path:
     return GOLDEN
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Search with jobs above one starts its pool before the first task, so a
+    test of the pool does not pass in process."""
+    monkeypatch.setattr(repsearch, "POOL_NODES", 0)
 
 
 def read_fixture(name: str) -> str:

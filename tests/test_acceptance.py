@@ -175,6 +175,7 @@ def test_criterion_7(capsys):
 
 
 @pytest.mark.acceptance(8, "minimal representation census")
+@pytest.mark.usefixtures("force_pool")
 def test_criterion_8():
     even_target = builtin_prefix("even-fib", 40)
     odd_target = builtin_prefix("odd-fib", 40)

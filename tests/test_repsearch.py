@@ -3,9 +3,10 @@
 import dataclasses
 import functools
 import itertools
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from morpheq import repsearch
@@ -19,6 +20,8 @@ from morpheq.repsearch import (
     search,
 )
 from morpheq.words import AlphabetError, Coding, FixedPoint, Morphism, MorphicRep
+
+DEFAULT_POOL_NODES = repsearch.POOL_NODES
 
 
 def images_of(rep: FoundRep) -> tuple[str, ...]:
@@ -76,6 +79,7 @@ class TestSearch:
         keys = [(r.complexity, r.morphism.images, r.coding.table) for r in res]
         assert keys == sorted(keys)
 
+    @pytest.mark.usefixtures("force_pool")
     def test_parallel_jobs_agree(self):
         target = fib_rep().prefix(25)
         spec1 = SearchSpec(target=target, alphabet_size=2, max_image_len=3, prefix_len=25)
@@ -88,6 +92,7 @@ class TestSearch:
         "jobs, cpus, workers",
         [(100000, 4, 4), (3, 4, 3), (100000, 10**6, "tasks"), (2, None, 0), (100000, 1, 0)],
     )
+    @pytest.mark.usefixtures("force_pool")
     def test_worker_count_is_capped(self, monkeypatch, jobs, cpus, workers):
         """min(jobs, tasks, CPUs) workers; none when that is one. Starts no process."""
         started = []
@@ -102,6 +107,7 @@ class TestSearch:
         expected = tasks if workers == "tasks" else workers
         assert started == ([expected] if expected else [])
 
+    @pytest.mark.usefixtures("force_pool")
     def test_each_worker_builds_one_searcher(self, monkeypatch):
         """One searcher in the parent and one per worker, however many tasks."""
         built = []
@@ -132,6 +138,7 @@ class TestSearch:
         assert res and {r.coding.target_size for r in res} == {2}
         assert search(dataclasses.replace(spec, target=fib12 + (7,))) == res
 
+    @pytest.mark.usefixtures("force_pool")
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_equal_coding_tables_share_one_coding(self, jobs):
         target = fib_rep().prefix(40)
@@ -143,6 +150,92 @@ class TestSearch:
             by_table.setdefault(rep.coding.table, set()).add(id(rep.coding))
         assert len(res) > len(by_table) > 1
         assert all(len(ids) == 1 for ids in by_table.values())
+
+
+def full_walk(target, n, max_len):
+    """A searcher that has walked tasks() and then every task."""
+    searcher = repsearch._Searcher(target, n, max_len)
+    for task in searcher.tasks():
+        searcher.run(task)
+    return searcher
+
+
+def results_at_each_pool_nodes(spec):
+    """The results of spec at two jobs with POOL_NODES 0, its default and 10**9."""
+    out = []
+    for threshold in (0, DEFAULT_POOL_NODES, 10**9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repsearch, "POOL_NODES", threshold)
+            out.append(search(dataclasses.replace(spec, jobs=2)))
+    return out
+
+
+class TestPoolRule:
+    """Tasks run in process, smallest first, until the walk has visited
+    POOL_NODES nodes; the tasks left then go to one pool."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """max_workers of every pool search starts, on a host of 4 CPUs."""
+        started = []
+        monkeypatch.setattr(repsearch.concurrent.futures, "ProcessPoolExecutor", recording_pool(started))
+        monkeypatch.setattr(repsearch, "_worker", None)
+        monkeypatch.setattr(repsearch.os, "cpu_count", lambda: 4)
+        return started
+
+    def test_a_walk_below_pool_nodes_starts_no_pool(self, started):
+        target = fib_rep().prefix(30)
+        spec = SearchSpec(target=target, alphabet_size=4, max_image_len=3, prefix_len=30, jobs=2)
+        assert len(repsearch._Searcher(target, 4, 3).tasks()) > 2
+        assert full_walk(target, 4, 3).nodes < DEFAULT_POOL_NODES
+        assert search(spec) == search(dataclasses.replace(spec, jobs=1))
+        assert started == []
+
+    @pytest.mark.parametrize("left, jobs, workers", [(2, 100, 2), (10, 3, 3), (10, 100, 4), (1, 100, 0)])
+    def test_the_tasks_left_at_pool_nodes_go_to_one_pool(self, monkeypatch, started, left, jobs, workers):
+        """min(jobs, tasks left, CPUs) workers; none for a last task."""
+        target = fib_rep().prefix(30)
+        searcher = repsearch._Searcher(target, 4, 3)
+        tasks = searcher.tasks()
+        while len(tasks) > left:
+            searcher.run(tasks.pop())
+        # Every run walks at least one node, so the walk reaches this count
+        # just as `left` tasks remain.
+        monkeypatch.setattr(repsearch, "POOL_NODES", searcher.nodes)
+        spec = SearchSpec(target=target, alphabet_size=4, max_image_len=3, prefix_len=30, jobs=jobs)
+        assert search(spec) == search(dataclasses.replace(spec, jobs=1))
+        assert started == ([workers] if workers else [])
+
+    # fib at alphabet 5 walks past the default, so there it splits the walk.
+    @pytest.mark.parametrize("name, n", [("even-fib", 4), ("odd-fib", 4), ("spir", 4), ("fib", 4), ("fib", 5)])
+    def test_results_do_not_depend_on_pool_nodes(self, name, n):
+        spec = SearchSpec(target=builtin_prefix(name, 40), alphabet_size=n, max_image_len=3, prefix_len=40)
+        inline = search(spec)
+        assert results_at_each_pool_nodes(spec) == [inline] * 3
+
+    # Every example starts a pool, and shrinking a failure would start
+    # thousands, so a failing example is reported as generated.
+    @settings(max_examples=6, deadline=None, phases=(Phase.explicit, Phase.generate))
+    @given(
+        images=st.tuples(
+            st.lists(st.integers(0, 2), min_size=1, max_size=2),
+            st.lists(st.integers(0, 2), min_size=1, max_size=3),
+            st.lists(st.integers(0, 2), min_size=1, max_size=3),
+        ),
+        prefix_len=st.integers(8, 24),
+    )
+    def test_ternary_results_do_not_depend_on_pool_nodes(self, images, prefix_len):
+        f = Morphism(((0, *images[0]), tuple(images[1]), tuple(images[2])))
+        spec = SearchSpec(FixedPoint(f).prefix(prefix_len), 3, 3, prefix_len)
+        assert results_at_each_pool_nodes(spec) == [search(spec)] * 3
+
+    @pytest.mark.parametrize(
+        "name, nodes", [("even-fib", 5319), ("odd-fib", 6585), ("spir", 2935), ("fib", 37828)]
+    )
+    def test_walk_node_counts_are_pinned(self, name, nodes):
+        """At alphabet 5, image length 3 and prefix 60: pruning that changes
+        shows here even when the result lists still agree."""
+        assert full_walk(builtin_prefix(name, 60), 5, 3).nodes == nodes
 
 
 def recording_pool(started):
@@ -223,10 +316,12 @@ def agrees_with_brute_force(target, n, max_len, prefix_len, jobs=(1, 2)):
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("name, prefix_len", [("fib", 8), ("fib", 24), ("even-fib", 8)])
     @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.usefixtures("force_pool")
     def test_builtin_prefixes(self, name, prefix_len, n):
         agrees_with_brute_force(builtin_prefix(name, prefix_len), n, 2, prefix_len)
 
     @pytest.mark.parametrize("name, prefix_len", [("fib", 30), ("even-fib", 10)])
+    @pytest.mark.usefixtures("force_pool")
     def test_images_of_three_symbols(self, name, prefix_len):
         assert agrees_with_brute_force(builtin_prefix(name, prefix_len), 3, 3, prefix_len) > 0
 
@@ -243,6 +338,7 @@ class TestAgainstBruteForce:
     # Ternary targets with images of up to three symbols: the symbol at a
     # branch point recurs in the buffered tail, and the images it may take
     # bring new symbols in at those extra landings.
+    @pytest.mark.usefixtures("force_pool")
     def test_ternary_fixed_point(self):
         # 0 -> 001, 1 -> 02, 2 -> 2
         target = (0, 0, 1, 0, 0, 1, 0, 2, 0, 0, 1, 0, 0, 1, 0, 2, 0, 0, 1, 2)
@@ -265,6 +361,7 @@ class TestAgainstBruteForce:
     # The examples above run in process, so that a wrong search fails them
     # fast; these run the same kind of target over a pool.
     @pytest.mark.parametrize("images", [("01", "12", "2"), ("02", "21", "10"), ("012", "2", "11")])
+    @pytest.mark.usefixtures("force_pool")
     def test_ternary_fixed_points_in_a_pool(self, images):
         target = FixedPoint(Morphism.from_strings(*images)).prefix(20)
         assert agrees_with_brute_force(target, 3, 3, 20, jobs=(2,)) > 0
@@ -342,6 +439,13 @@ class TestGuards:
     def test_rejects_bad_target_symbols(self, target, message):
         with pytest.raises(ValueError, match=message):
             SearchSpec(target=target, alphabet_size=2, max_image_len=2, prefix_len=1)
+
+    @pytest.mark.parametrize("field", ["alphabet_size", "max_image_len", "prefix_len", "jobs"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", None])
+    def test_rejects_sizes_that_are_not_ints(self, field, value):
+        sizes = {"alphabet_size": 2, "max_image_len": 2, "prefix_len": 5, "jobs": 2, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an int, not {re.escape(repr(value))}$"):
+            SearchSpec(target=(0,) * 5, **sizes)
 
     def test_prefix_longer_than_target(self):
         with pytest.raises(ValueError, match="shorter than"):
