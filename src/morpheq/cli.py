@@ -18,7 +18,7 @@ import functools
 import sys
 
 from . import catalog
-from .formats import parse_problem, parse_proof, parse_rep, serialize_proof
+from .formats import MAX_CODEC_ALPHABET, parse_problem, parse_proof, parse_rep, serialize_proof
 from .proofdoc import check_proof, render_latex, render_text
 from .prover import MAX_PAIR_LEN, ProveFailure, ProverConfig, prove_basic, prove_general
 from .repsearch import MAX_ALPHABET, MAX_IMAGE_LEN, POOL_NODES, SearchSpec, search
@@ -100,6 +100,9 @@ def _cmd_subseq(args) -> int:
             print(f"no power up to {MAX_ODD_POWER} makes every image length odd", file=sys.stderr)
             return 1
         g, first, second = block_encode(f.power(k))
+        if g.alphabet_size > MAX_CODEC_ALPHABET:
+            print(f"{g.alphabet_size} block symbols, over the limit of {MAX_CODEC_ALPHABET}", file=sys.stderr)
+            return 1
         blocks = [
             format_word((first.table[b], second.table[b]))
             for b in range(g.alphabet_size)
@@ -114,7 +117,8 @@ def _cmd_subseq(args) -> int:
         return 0
     rep, start, step = catalog.BUILTINS[args.builtin]
     parity = 0 if args.op == "even" else 1
-    print(format_word(arith_prefix(rep(), start + step * parity, 2 * step, args.n)))
+    count = 32 if args.n is None else args.n
+    print(format_word(arith_prefix(rep(), start + step * parity, 2 * step, count)))
     return 0
 
 
@@ -189,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--builtin", choices=catalog.BUILTIN_NAMES)
     group.add_argument("--encode-blocks", metavar="FILE", help="representation file to block-encode")
     subseq.add_argument("--op", choices=("even", "odd"), help="which subsequence of the builtin")
-    subseq.add_argument("--n", type=int, default=32, help=f"how many symbols to print, at most {MAX_COUNT}")
+    subseq.add_argument("--n", type=int, default=None, help=f"how many symbols to print, at most {MAX_COUNT}")
     subseq.set_defaults(func=_cmd_subseq)
 
     searchp = sub.add_parser("search", help="enumerate representations matching a target prefix")
@@ -220,6 +224,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "subseq" and args.builtin and not args.op:
         parser.error("--builtin requires --op")
+    if args.command == "subseq" and args.encode_blocks and (args.op or args.n is not None):
+        parser.error("--encode-blocks takes neither --op nor --n")
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

@@ -21,6 +21,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import ClassVar
 
 from .scaling import DEFAULT_TOLERANCE, equalize
 from .words import (
@@ -77,7 +78,8 @@ def _check_pair_len(max_len: int) -> None:
 class ProverConfig:
     max_pair_len: int = 10
     tol: float = DEFAULT_TOLERANCE
-    eigen_iterations: int = 8
+    # Power-method steps of the growth-rate estimates.
+    eigen_iterations: ClassVar[int] = 8
 
     def __post_init__(self):
         _check_pair_len(self.max_pair_len)

@@ -18,7 +18,8 @@ the largest whose images, counting only symbols it reads, total at most
 POWER_BYTES; a read of n symbols squares it further while they total at
 most n // READ_SHARE bytes and never more than CHUNK, so reads of up to
 READ_SHARE * POWER_BYTES symbols keep the first power.  Each square's size
-is told from the image lengths before it is built.  A step over symbols
+is told from the image lengths before it is built, and a new power starts
+the buffer over at its image of 0.  A step over symbols
 whose images all have length 1, as in an eventually periodic tail, is one
 bytes.translate, run on up to the next symbol with a longer image.
 
@@ -246,27 +247,6 @@ def _power_images(images: tuple[bytes, ...], budget: int) -> tuple[tuple[bytes, 
         images = tuple(b"".join([images[s] for s in im]) for im in images)
 
 
-def _resume_point(buf: bytearray, lengths: tuple[int, ...], stop: int) -> tuple[int, int]:
-    """With images of these lengths laid end to end from buf[0]: the first
-    j < stop whose image ends past the end of buf, and where it starts.
-
-    A block of symbols takes its own length plus the excess of its images
-    longer than 1, told by bytearray.count; blocks shrink from CHUNK to one
-    symbol, so the counts run over the buffer about once.  Returns stop
-    when no image ends past buf.
-    """
-    size = len(buf)
-    excess = [(s, k - 1) for s, k in enumerate(lengths) if k > 1]
-    end = j = 0
-    for block in (CHUNK, 1 << 8, 1):
-        while j + block <= stop:
-            grown = end + block + sum(k * buf.count(s, j, j + block) for s, k in excess)
-            if grown > size:
-                break
-            end, j = grown, j + block
-    return j, end
-
-
 class FixedPoint:
     """Prefix of the infinite fixed point f^oo(0), extended on demand.
 
@@ -276,10 +256,9 @@ class FixedPoint:
     prefix.  Prolongability guarantees the consumer never catches up.
     The buffer is a bytearray.  f^oo(a) is also the fixed point of every
     power of f, so the expansion uses a power sized to the read (see the
-    module docstring).  A new power resumes at the first consumed symbol
-    whose new image ends past the buffer, and appends only that image's
-    tail: the buffer never shrinks.  extend_to refuses to grow past
-    MAX_PREFIX symbols, which bounds every read.
+    module docstring).  A new power starts the buffer over, so a read
+    past a re-power expands again what the buffer held.  extend_to refuses
+    to grow past MAX_PREFIX symbols, which bounds every read.
     """
 
     def __init__(self, morphism: Morphism):
@@ -287,16 +266,16 @@ class FixedPoint:
         # Only symbols after position 0 are ever consumed.
         self._consumed = _closure(morphism, morphism.images[0][1:])
         self._symbols = self._consumed | {0}
-        images = tuple(
+        self._images = tuple(
             bytes(im) if s in self._symbols else b"" for s, im in enumerate(morphism.images)
         )
-        self._set_power(*_power_images(images, POWER_BYTES))
-        self._buf = bytearray(self._images[0])
-        self._next = 1
+        self._restart(POWER_BYTES)
 
-    def _set_power(self, images: tuple[bytes, ...], square_size: int) -> None:
+    def _restart(self, budget: int) -> None:
+        """Square the images within budget and start the buffer over at the
+        image of 0 under the power they reach."""
+        images, self._square_size = _power_images(self._images, budget)
         self._images = images
-        self._square_size = square_size
         self._longest = max(len(images[s]) for s in self._consumed)
         self._long = tuple(s for s in self._consumed if len(images[s]) > 1)
         # The images of length 1 as a bytes.translate table, if any is read.
@@ -304,15 +283,14 @@ class FixedPoint:
         if len(self._long) < len(self._consumed):
             short = bytes(im[0] if len(im) == 1 else 0 for im in images)
             self._short = short.ljust(ALPHABET_LIMIT, b"\0")
+        self._buf = bytearray(images[0])
+        self._next = 1
 
-    def _repower(self, budget: int) -> None:
-        """Square the power within budget and resume the buffer under it."""
-        self._set_power(*_power_images(self._images, budget))
-        buf = self._buf
-        j, end = _resume_point(buf, tuple(map(len, self._images)), self._next)
-        if j < self._next:
-            buf += self._images[buf[j]][len(buf) - end:]
-            self._next = j + 1
+    def _size_for(self, n: int) -> None:
+        """Square the power if a read of n symbols has room for the next square."""
+        budget = min(n // READ_SHARE, CHUNK)
+        if self._square_size <= budget:
+            self._restart(budget)
 
     def __len__(self) -> int:
         return len(self._buf)
@@ -322,9 +300,7 @@ class FixedPoint:
             return
         if n > MAX_PREFIX:
             raise ValueError(f"{n} symbols asked for; at most {MAX_PREFIX} symbols can be expanded")
-        budget = min(n // READ_SHARE, CHUNK)
-        if self._square_size <= budget:
-            self._repower(budget)
+        self._size_for(n)
         buf = self._buf
         images = self._images
         longest = self._longest
@@ -428,17 +404,20 @@ def first_mismatch(left: MorphicRep, right: MorphicRep, n: int) -> tuple[int, in
 
     Returns the position and the two coded symbols there.  Both fixed
     points are coded and compared a chunk at a time, so unequal sequences
-    stop at the first chunk that differs.  A side whose buffer a chunk
-    passes is expanded to twice its length (at most n), so each buffer
-    grows in a few long runs rather than in turns with the other, and
-    reads long enough for a larger power; an unequal pair is expanded to at
-    most about twice the end of the chunk that differs.
+    stop at the first chunk that differs.  Both take the power for a read
+    of n before the first chunk, so no later read starts a buffer over.  A
+    side whose buffer a chunk passes is expanded to twice its length (at
+    most n), so each buffer grows in a few long runs rather than in turns
+    with the other; an unequal pair is expanded to at most about twice the
+    end of the chunk that differs.
     """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
     if n > MAX_PREFIX:
         raise ValueError(f"{n} symbols asked for; at most {MAX_PREFIX} symbols can be compared")
     left_fp, right_fp = left.fixed_point(), right.fixed_point()
+    left_fp._size_for(n)
+    right_fp._size_for(n)
     left_table, right_table = left._table(), right._table()
     for k in range(0, n, CHUNK):
         m = min(n, k + CHUNK)

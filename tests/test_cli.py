@@ -270,10 +270,32 @@ class TestSubseq:
             f"error: count is {MAX_COUNT + 1}; it must be between 0 and {MAX_COUNT}\n"
         )
 
+    def test_encode_blocks_past_the_rep_alphabet_prints_nothing(self, capsys):
+        # The block encoding of 0 -> 03011, 1 -> 11303, 2 -> 133, 3 -> 320
+        # has 11 symbols, one more than a representation file holds.
+        code = main(["subseq", "--encode-blocks", fixture_path("eleven_blocks_rep.txt")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "11 block symbols, over the limit of 10\n"
+
     def test_builtin_requires_op(self):
         with pytest.raises(SystemExit) as exc:
             main(["subseq", "--builtin", "fib"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("option", [["--op", "odd"], ["--n", "5"], ["--n", "32"]])
+    def test_encode_blocks_refuses_builtin_options(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["subseq", "--encode-blocks", fixture_path("fib_rep.txt"), *option])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: --encode-blocks takes neither --op nor --n\n")
+
+    def test_builtin_count_defaults_to_32(self, capsys):
+        assert main(["subseq", "--builtin", "fib", "--op", "even"]) == 0
+        assert capsys.readouterr().out == format_word(fib_rep().prefix(64)[0::2]) + "\n"
 
 
 # Builtin target, result count, sha256 of stdout, --jobs and --alphabet.

@@ -175,6 +175,11 @@ class TestProverConfig:
         with pytest.raises(ValueError, match=f"between 1 and {MAX_PAIR_LEN}"):
             ProverConfig(max_pair_len=length)
 
+    def test_eigen_iterations_is_not_a_field(self):
+        assert ProverConfig().eigen_iterations == ProverConfig.eigen_iterations == 8
+        with pytest.raises(TypeError):
+            ProverConfig(eigen_iterations=4)
+
     def test_longest_pair_length_gives_up_quickly(self):
         problem = parse_problem(read_fixture("linear_growth.txt"))
         start = perf_counter()

@@ -252,18 +252,21 @@ def test_fixed_point_walk_symbol_by_symbol(name):
 
 @pytest.fixture
 def repowers(monkeypatch):
-    """Buffer lengths at which FixedPoints re-power, each checked to keep
-    its buffer: no re-power may shrink it or change what it held."""
+    """Re-powers of FixedPoints after construction, each as the length of
+    the buffer it starts over and of the image of 0 under the old power.
+    Each is checked to read the same prefix after it as before."""
     seen = []
-    repower = FixedPoint._repower
+    restart = FixedPoint._restart
 
     def checked(self, budget):
-        held = self.prefix(len(self))
-        repower(self, budget)
+        if not hasattr(self, "_buf"):
+            return restart(self, budget)
+        held = tuple(self._buf)
+        seen.append((len(held), len(self._images[0])))
+        restart(self, budget)
         assert self.prefix(len(held)) == held
-        seen.append(len(held))
 
-    monkeypatch.setattr(FixedPoint, "_repower", checked)
+    monkeypatch.setattr(FixedPoint, "_restart", checked)
     return seen
 
 
@@ -272,18 +275,34 @@ def repowers(monkeypatch):
 REPOWERED_READ = 11 * CHUNK
 
 
+def read_by_chunks(f):
+    """f's fixed point read CHUNK by CHUNK to REPOWERED_READ, and the
+    buffer's length after each read."""
+    fp = FixedPoint(f)
+    lengths = [len(fp)]
+    read = []
+    for k in range(0, REPOWERED_READ, CHUNK):
+        read.extend(fp.factor(k, k + CHUNK))
+        lengths.append(len(fp))
+    return tuple(read), lengths
+
+
 @pytest.mark.parametrize("name", sorted(EXPANDED))
 def test_growing_reads_across_re_powers(name, repowers):
     f = EXPANDED[name]
-    expected = tuple(naive_fixed_point(f, REPOWERED_READ))
-    fp = FixedPoint(f)
-    lengths = [len(fp)]
-    for k in range(0, REPOWERED_READ, CHUNK):
-        assert fp.factor(k, k + CHUNK) == expected[k:k + CHUNK]
-        lengths.append(len(fp))
+    read, lengths = read_by_chunks(f)
+    assert read == tuple(naive_fixed_point(f, REPOWERED_READ))
     assert lengths == sorted(lengths)
-    # At least one re-power resumed deep inside the buffer.
-    assert max(repowers) >= CHUNK
+    # At least one re-power started over a buffer of at least CHUNK symbols.
+    assert max(held for held, _ in repowers) >= CHUNK
+
+
+@pytest.mark.parametrize("name", sorted(EXPANDED))
+def test_re_powers_expand_again_at_most_twice_the_read(name, repowers):
+    # Each square about doubles the read that calls for the next one, so
+    # the buffers a growing read starts over total at most twice the read.
+    read_by_chunks(EXPANDED[name])
+    assert sum(held for held, _ in repowers) <= 2 * REPOWERED_READ
 
 
 @pytest.mark.parametrize("name", sorted(EXPANDED))
@@ -388,12 +407,24 @@ def defect_rep(depth):
 
 
 def test_first_mismatch_past_a_re_power(repowers):
+    # Doubling reads pass lengths that call for a larger power long before
+    # the mismatch, but both powers are sized for n up front: every
+    # re-power starts over a buffer that holds only the image of 0.
     left, right = defect_rep(5), MorphicRep.pure(FIB)
     n = 40 * CHUNK
     found = first_mismatch(left, right, n)
     assert found == plain_mismatch(left, right, n)
-    assert found[0] > max(repowers) > 4 * CHUNK
+    assert found[0] > 4 * CHUNK
+    assert repowers and all(held == first for held, first in repowers)
     assert first_mismatch(right, left, n) == (found[0], found[2], found[1])
+
+
+def test_first_mismatch_of_a_polynomial_fixed_point_and_its_square():
+    f = EXPANDED["polynomial"]
+    left, right = MorphicRep.pure(f), MorphicRep.pure(f ** 2)
+    n = 4 * CHUNK + 5
+    assert first_mismatch(left, right, n) is None
+    assert plain_mismatch(left, right, n) is None
 
 
 def test_first_mismatch_of_empty_and_negative_prefixes():
