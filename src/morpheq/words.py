@@ -23,6 +23,15 @@ the buffer over at its image of 0.  A step over symbols
 whose images all have length 1, as in an eventually periodic tail, is one
 bytes.translate, run on up to the next symbol with a longer image.
 
+MorphicRep.prefix and first_mismatch read a coded prefix as a stream of
+pieces: with F the power in use, the coding of the fixed point is
+tau F(x_0) tau F(x_1) ..., joined from F's images coded once by the same
+steps that grow the buffer.  The buffer then holds only the symbols x_j
+being coded: about n / L of them for images of average length L, so the
+fixed points of exponential growth hold little.  Those of polynomial or
+periodic growth still hold about n, and their pieces are translated in
+place from the buffer.
+
 Morphism.power_lengths gives |f^k(a)| as the sum of |f^(k-1)(s)| over the
 symbols s of f(a), without expanding; Morphism.power uses it to refuse
 powers over POWER_LIMIT with PowerLimitError.
@@ -39,9 +48,9 @@ Word = tuple[int, ...]
 # Largest alphabet a byte buffer can hold.
 ALPHABET_LIMIT = 256
 # Most bytes one extension step of a FixedPoint appends (or one image, if
-# longer), most bytes its images take in all, and the length of the pieces
-# first_mismatch compares: larger chunks build larger transient lists of
-# image references for little gain.
+# longer), most bytes its images take in all, and the longest piece of a
+# coded stream: larger chunks build larger transient lists of image
+# references for little gain.
 CHUNK = 1 << 16
 # A FixedPoint starts out expanding with the power f^(2^j) of largest j
 # whose images, counting only symbols the expansion reads, take at most this
@@ -57,8 +66,10 @@ READ_SHARE = 64
 # it builds on the way to f^k.
 POWER_LIMIT = 1 << 20
 # Longest prefix a FixedPoint expands to and first_mismatch compares.
-# Expansion keeps one byte per symbol, so this bounds the memory of every
-# reader (about 210 MB for the two sides of verify-prefix at the limit).
+# Expansion keeps one byte per symbol it holds, so this bounds the memory of
+# every reader: at the limit, the two sides of verify-prefix take about
+# 210 MB for fixed points of polynomial or periodic growth, which hold about
+# n symbols, and under 1 MB for exponential ones, which hold about n / L.
 MAX_PREFIX = 10**8
 
 
@@ -85,6 +96,11 @@ def _check_expandable(morphism: Morphism) -> None:
     _check_byte_alphabet(morphism.alphabet_size, "morphism alphabet")
     if not morphism.is_prolongable():
         raise NotProlongableError("image of 0 must start with 0 and have length >= 2")
+
+
+def _check_read(n: int) -> None:
+    if n > MAX_PREFIX:
+        raise ValueError(f"{n} symbols asked for; at most {MAX_PREFIX} symbols can be expanded")
 
 
 def is_digits(text: str) -> bool:
@@ -257,8 +273,9 @@ class FixedPoint:
     The buffer is a bytearray.  f^oo(a) is also the fixed point of every
     power of f, so the expansion uses a power sized to the read (see the
     module docstring).  A new power starts the buffer over, so a read
-    past a re-power expands again what the buffer held.  extend_to refuses
-    to grow past MAX_PREFIX symbols, which bounds every read.
+    past a re-power expands again what the buffer held.  extend_to and the
+    coded stream refuse to read past MAX_PREFIX symbols, which bounds every
+    read.
     """
 
     def __init__(self, morphism: Morphism):
@@ -298,30 +315,73 @@ class FixedPoint:
     def extend_to(self, n: int) -> None:
         if len(self._buf) >= n:
             return
-        if n > MAX_PREFIX:
-            raise ValueError(f"{n} symbols asked for; at most {MAX_PREFIX} symbols can be expanded")
+        _check_read(n)
         self._size_for(n)
         buf = self._buf
-        images = self._images
-        longest = self._longest
-        long = self._long
-        short = self._short
         while len(buf) < n:
-            # A step appends at most `want` bytes or one image; every consumed
-            # symbol appends at least one, so the consumer never catches up.
-            # A translate step appends one byte per symbol, so it runs on to
-            # the next symbol with a longer image, within `want` symbols.
-            start = self._next
-            want = min(max(n - len(buf), POWER_BYTES), CHUNK)
-            stop = min(len(buf), start + max(1, want // longest))
-            chunk = buf[start:stop]
-            if short is not None and not any(map(chunk.__contains__, long)):
+            self._next, piece = self._step(self._next, n - len(buf), self._images, self._short)
+            buf += piece
+
+    def _step(
+        self, start: int, remaining: int, images: tuple[bytes, ...], short: bytes | None
+    ) -> tuple[int, bytes]:
+        """The images of the buffer's symbols from start on, joined, and the
+        position after the last of those symbols.
+
+        images and short are the power's images and the translate table of
+        its images of length 1, both raw or both coded.  A step joins at most
+        min(remaining, CHUNK) bytes (at least POWER_BYTES) or one image, and
+        ends after its last symbol with a longer image.  Every symbol gives
+        at least one byte, so a buffer extended by its own steps is never
+        caught up.  A run of symbols with images of length 1 is one
+        translate by short, run on to the next symbol with a longer image.
+        """
+        buf, long = self._buf, self._long
+        want = min(max(remaining, POWER_BYTES), CHUNK)
+        stop = min(len(buf), start + max(1, want // self._longest))
+        chunk = buf[start:stop]
+        if short is not None:
+            last = max([chunk.rfind(s) for s in long], default=-1)
+            if last < 0:
                 ends = [buf.find(s, stop, start + want) for s in long]
                 stop = min([len(buf), start + want] + [i for i in ends if i >= 0])
-                buf += buf[start:stop].translate(short)
+                return stop, buf[start:stop].translate(short)
+            stop = start + last + 1
+            chunk = chunk[:last + 1]
+        return stop, b"".join([images[s] for s in chunk])
+
+    def _coded(self, table: bytes, n: int) -> Iterator[bytes]:
+        """The first n symbols under the translate table, in pieces of at
+        most CHUNK bytes or one image (see the module docstring).
+
+        Positions the buffer holds are translated in place; past them,
+        pieces are joined from the power's images coded once, by the steps
+        that grow the buffer.  The buffer is doubled, never past n so that
+        the power stays, when the steps reach its end, and when the coded
+        symbols reach its end and n, at the rate so far (done / start per
+        image), would need more than it holds.
+        """
+        _check_read(n)
+        self._size_for(n)
+        images = tuple(im.translate(table) for im in self._images)
+        short = self._short and self._short.translate(table)
+        # Coded symbols done, and the buffer symbols they are the images of,
+        # which is known while the buffer holds no more than done symbols.
+        done = start = 0
+        buf = self._buf
+        while done < n:
+            if done < len(buf):
+                stop = min(len(buf), n, done + CHUNK)
+                yield buf[done:stop].translate(table)
+                done, start = stop, self._next
+            elif start == len(buf) or (done == len(buf) and n * start > done * done):
+                self.extend_to(min(n, 2 * len(buf)))
             else:
-                buf += b"".join([images[s] for s in chunk])
-            self._next = stop
+                start, piece = self._step(start, n - done, images, short)
+                if len(piece) > n - done:
+                    piece = piece[:n - done]
+                yield piece
+                done += len(piece)
 
     def _bytes(self, k: int, m: int) -> bytearray:
         """Positions k..m-1 as raw symbols; callers validate the range."""
@@ -396,39 +456,40 @@ class MorphicRep:
         """First n symbols of the coded sequence."""
         if n < 0:
             raise ValueError("prefix length must be non-negative")
-        return tuple(self.fixed_point()._bytes(0, n).translate(self._table()))
+        return tuple(b"".join(self.fixed_point()._coded(self._table(), n)))
 
 
 def first_mismatch(left: MorphicRep, right: MorphicRep, n: int) -> tuple[int, int, int] | None:
     """First position below n where two coded sequences differ, or None.
 
-    Returns the position and the two coded symbols there.  Both fixed
-    points are coded and compared a chunk at a time, so unequal sequences
-    stop at the first chunk that differs.  Both take the power for a read
-    of n before the first chunk, so no later read starts a buffer over.  A
-    side whose buffer a chunk passes is expanded to twice its length (at
-    most n), so each buffer grows in a few long runs rather than in turns
-    with the other; an unequal pair is expanded to at most about twice the
-    end of the chunk that differs.
+    Returns the position and the two coded symbols there.  Each side is
+    read as the coded pieces of FixedPoint._coded, joined from pre-coded
+    images of its power (sized for n before the first piece) where its
+    growth lets the buffer stay short, and the two streams are compared at
+    running offsets into their current pieces, without copying them.
+    Unequal sequences stop at the first piece pair that differs.
     """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
     if n > MAX_PREFIX:
         raise ValueError(f"{n} symbols asked for; at most {MAX_PREFIX} symbols can be compared")
-    left_fp, right_fp = left.fixed_point(), right.fixed_point()
-    left_fp._size_for(n)
-    right_fp._size_for(n)
-    left_table, right_table = left._table(), right._table()
-    for k in range(0, n, CHUNK):
-        m = min(n, k + CHUNK)
-        for fp in (left_fp, right_fp):
-            if len(fp) < m:
-                fp.extend_to(min(n, max(m, 2 * len(fp))))
-        a = left_fp._bytes(k, m).translate(left_table)
-        b = right_fp._bytes(k, m).translate(right_table)
-        if a != b:
-            i = _first_difference(a, b)
-            return k + i, a[i], b[i]
+    left_pieces = left.fixed_point()._coded(left._table(), n)
+    right_pieces = right.fixed_point()._coded(right._table(), n)
+    # The current piece of each side, the offset compared up to in each, and
+    # the position of those offsets in the sequences.  b is a memoryview, so
+    # a.startswith compares against a slice of it without copying.
+    a, b = b"", memoryview(b"")
+    i = j = pos = 0
+    while pos < n:
+        if i == len(a):
+            a, i = next(left_pieces), 0
+        if j == len(b):
+            b, j = memoryview(next(right_pieces)), 0
+        m = min(len(a) - i, len(b) - j)
+        if not a.startswith(b[j:j + m], i):
+            k = _first_difference(a[i:i + m], bytes(b[j:j + m]))
+            return pos + k, a[i + k], b[j + k]
+        i, j, pos = i + m, j + m, pos + m
     return None
 
 

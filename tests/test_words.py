@@ -1,5 +1,6 @@
 """Words, morphisms, codings, fixed points."""
 
+import functools
 import tracemalloc
 from time import perf_counter
 
@@ -356,8 +357,15 @@ def marker_rep(p, marked):
     return MorphicRep(f, Coding((0, 0, 1 if marked else 0), 2))
 
 
+@functools.lru_cache(maxsize=2)
+def naive_prefix(f, n):
+    return tuple(naive_fixed_point(f, n))
+
+
 def plain_mismatch(left, right, n):
-    a, b = left.prefix(n), right.prefix(n)
+    """first_mismatch by comparing naively expanded prefixes, coded symbol by symbol."""
+    a = left.coding.apply(naive_prefix(left.morphism, n))
+    b = right.coding.apply(naive_prefix(right.morphism, n))
     for i in range(n):
         if a[i] != b[i]:
             return i, a[i], b[i]
@@ -419,12 +427,40 @@ def test_first_mismatch_past_a_re_power(repowers):
     assert first_mismatch(right, left, n) == (found[0], found[2], found[1])
 
 
-def test_first_mismatch_of_a_polynomial_fixed_point_and_its_square():
-    f = EXPANDED["polynomial"]
-    left, right = MorphicRep.pure(f), MorphicRep.pure(f ** 2)
-    n = 4 * CHUNK + 5
-    assert first_mismatch(left, right, n) is None
-    assert plain_mismatch(left, right, n) is None
+@pytest.mark.parametrize("n", CHUNK_LENGTHS + (4 * CHUNK + 5,))
+@pytest.mark.parametrize("name", sorted(EXPANDED))
+def test_first_mismatch_of_expanded_fixed_points(name, n, repowers):
+    # Each fixed point under a 2-symbol coding, against its square (the same
+    # sequence, cut into other pieces) and against itself with the coding
+    # of one symbol flipped, which differs first where that symbol occurs.
+    f = EXPANDED[name]
+    coding = Coding(tuple(s % 2 for s in range(f.alphabet_size)), 2)
+    rep = MorphicRep(f, coding)
+    others = [MorphicRep(f ** 2, coding)]
+    for s in range(f.alphabet_size):
+        flipped = tuple(c ^ (t == s) for t, c in enumerate(coding.table))
+        others.append(MorphicRep(f, Coding(flipped, 2)))
+    for other in others:
+        found = plain_mismatch(rep, other, n)
+        assert first_mismatch(rep, other, n) == found
+        assert first_mismatch(other, rep, n) == (found and (found[0], found[2], found[1]))
+    assert rep.prefix(n) == coding.apply(naive_prefix(f, n))
+    # Every re-power is the one that sizes a side for n, before it reads.
+    assert all(held == first for held, first in repowers)
+
+
+def test_first_mismatch_of_exponential_growth_holds_little():
+    # A side holds about n / L raw symbols, for images of average length L,
+    # and pieces of at most CHUNK bytes: far less than a buffer of n bytes.
+    n = 10**7
+    left, right = MorphicRep.pure(FIB), MorphicRep.pure(FIB ** 2)
+    tracemalloc.start()
+    try:
+        assert first_mismatch(left, right, n) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 21
 
 
 def test_first_mismatch_of_empty_and_negative_prefixes():
