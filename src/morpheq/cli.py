@@ -18,7 +18,9 @@ import functools
 import sys
 
 from . import catalog
-from .formats import MAX_CODEC_ALPHABET, parse_problem, parse_proof, parse_rep, serialize_proof
+from .formats import (
+    MAX_CODEC_ALPHABET, parse_problem, parse_proof, parse_rep, serialize_proof, serialize_rep
+)
 from .proofdoc import check_proof, render_latex, render_text
 from .prover import MAX_PAIR_LEN, ProveFailure, ProverConfig, prove_basic, prove_general
 from .repsearch import MAX_ALPHABET, MAX_IMAGE_LEN, POOL_NODES, SearchSpec, search
@@ -42,11 +44,9 @@ def _read(path: str) -> str:
 def _cmd_prove(args) -> int:
     config = ProverConfig(tol=args.tol, max_pair_len=args.max_pair_len)
     problem = parse_problem(_read(args.file))
+    prove = prove_basic if args.basic else prove_general
     try:
-        if args.basic:
-            proof = prove_basic(problem, config)
-        else:
-            proof = prove_general(problem, config)
+        proof = prove(problem, config)
     except ProveFailure as failure:
         print(f"gave up: {failure.stage.value}: {failure.detail}")
         return 1
@@ -109,10 +109,7 @@ def _cmd_subseq(args) -> int:
         ]
         print(f"upscale {k}")
         print(f"blocks {' '.join(blocks)}")
-        print(g.alphabet_size)
-        for im in g.images:
-            print(format_word(im))
-        print(format_word(coding.apply(first.table)))
+        sys.stdout.write(serialize_rep(g, coding.apply(first.table)))
         print(format_word(coding.apply(second.table)))
         return 0
     rep, start, step = catalog.BUILTINS[args.builtin]
@@ -130,7 +127,7 @@ def _cmd_search(args) -> int:
         if not is_digits(text):
             print("target file must contain digits only", file=sys.stderr)
             return 2
-        target = parse_word(text)
+        target = parse_word(text[: args.prefix])
     spec = SearchSpec(
         target=target,
         alphabet_size=args.alphabet,
@@ -142,14 +139,10 @@ def _cmd_search(args) -> int:
     print(f"found {len(results)} representations", file=sys.stderr)
     # Results share a few hundred distinct words at most; format each once.
     fmt = functools.cache(format_word)
-    blocks = []
-    for rep in results:
-        lines = [f"complexity {rep.complexity}", str(rep.morphism.alphabet_size)]
-        lines.extend(fmt(im) for im in rep.morphism.images)
-        lines.append(fmt(rep.coding.table))
-        blocks.append("\n".join(lines))
-    if blocks:
-        print("\n\n".join(blocks))
+    sys.stdout.write("\n".join(
+        f"complexity {rep.complexity}\n" + serialize_rep(rep.morphism, rep.coding.table, fmt)
+        for rep in results
+    ))
     return 0
 
 

@@ -25,7 +25,7 @@ takes, such as superscripts, are rejected with their line number.
 from __future__ import annotations
 
 from .prover import EqualityProblem, Proof, ProofMode, SafePairTable
-from .words import Coding, Morphism, Word, format_word, is_digits
+from .words import Coding, Morphism, Word, format_word, is_digits, parse_word
 
 
 class ParseError(ValueError):
@@ -78,7 +78,7 @@ def _parse_digit_word(cursor: _Cursor, what: str, alphabet: int) -> Word:
     lineno = cursor.pos
     if not is_digits(line):
         raise ParseError(lineno, f"{what} must be a digit string, got {line!r}")
-    w = tuple(int(c) for c in line)
+    w = parse_word(line)
     for s in w:
         if s >= alphabet:
             raise ParseError(lineno, f"{what} uses symbol {s}, alphabet has {alphabet}")
@@ -98,7 +98,7 @@ def _parse_side(cursor: _Cursor, name: str) -> tuple[Morphism, tuple[int, ...]]:
         raise ParseError(
             lineno, f"coding must have exactly {n} digits, got {len(coding_line)}"
         )
-    return Morphism(images), tuple(int(c) for c in coding_line)
+    return Morphism(images), parse_word(coding_line)
 
 
 def _problem_from_cursor(cursor: _Cursor) -> EqualityProblem:
@@ -125,14 +125,14 @@ def parse_rep(text: str) -> tuple[Morphism, Coding]:
     return f, Coding(table, max(table) + 1)
 
 
-def serialize_problem(problem: EqualityProblem) -> str:
-    lines = [str(problem.f.alphabet_size)]
-    lines.extend(format_word(im) for im in problem.f.images)
-    lines.append(format_word(problem.tau.table))
-    lines.append(str(problem.g.alphabet_size))
-    lines.extend(format_word(im) for im in problem.g.images)
-    lines.append(format_word(problem.rho.table))
+def serialize_rep(f: Morphism, table: Word, fmt=format_word) -> str:
+    """The lines parse_rep reads, each word formatted by fmt: alphabet size, images, coding."""
+    lines = [str(f.alphabet_size), *map(fmt, f.images), fmt(table)]
     return "\n".join(lines) + "\n"
+
+
+def serialize_problem(problem: EqualityProblem) -> str:
+    return serialize_rep(problem.f, problem.tau.table) + serialize_rep(problem.g, problem.rho.table)
 
 
 def parse_proof(text: str) -> Proof:

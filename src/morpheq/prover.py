@@ -261,28 +261,25 @@ def derive_table(
     return SafePairTable(tuple(pairs), tuple(decompositions))
 
 
-def _normalize(problem: EqualityProblem) -> EqualityProblem:
+def _scaled(problem: EqualityProblem, config: ProverConfig) -> tuple[EqualityProblem, int, int]:
+    """The problem pruned to the symbols reachable from 0, and the exponents
+    (p, q) that bring its growth rates together."""
     f, tau, _ = prune_unreachable(problem.f, problem.tau, 0)
     g, rho, _ = prune_unreachable(problem.g, problem.rho, 0)
-    return EqualityProblem(f, tau, g, rho)
-
-
-def _equalized(problem: EqualityProblem, config: ProverConfig) -> tuple[int, int]:
-    scaling = equalize(problem.f, problem.g, config.tol, config.eigen_iterations)
+    scaling = equalize(f, g, config.tol, config.eigen_iterations)
     if scaling is None:
         raise ProveFailure(
             FailureStage.EIGENVALUE_MISMATCH,
             f"no exponent pair brings the growth rates within {config.tol}",
         )
-    return scaling.p, scaling.q
+    return EqualityProblem(f, tau, g, rho), scaling.p, scaling.q
 
 
 def prove_general(
     problem: EqualityProblem, config: ProverConfig = ProverConfig()
 ) -> Proof:
     """Prune, equalize growth rates, then close the safe-pair table."""
-    norm = _normalize(problem)
-    p, q = _equalized(norm, config)
+    norm, p, q = _scaled(problem, config)
     table = derive_table(
         norm.f.power(p), norm.tau, norm.g.power(q), norm.rho, config
     )
@@ -297,8 +294,7 @@ def prove_basic(
     u_i is the factor of f's fixed point spanning the same positions that
     g(i) spans in g's fixed point right after the first occurrence of i.
     """
-    norm = _normalize(problem)
-    p, q = _equalized(norm, config)
+    norm, p, q = _scaled(problem, config)
     fp = norm.f.power(p)
     gq = norm.g.power(q)
     n = gq.alphabet_size

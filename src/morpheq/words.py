@@ -383,15 +383,10 @@ class FixedPoint:
                 yield piece
                 done += len(piece)
 
-    def _bytes(self, k: int, m: int) -> bytearray:
-        """Positions k..m-1 as raw symbols; callers validate the range."""
-        self.extend_to(m)
-        return self._buf[k:m]
-
     def prefix(self, n: int) -> Word:
         if n < 0:
             raise ValueError("prefix length must be non-negative")
-        return tuple(self._bytes(0, n))
+        return self.factor(0, n)
 
     def at(self, i: int) -> int:
         if i < 0:
@@ -403,7 +398,8 @@ class FixedPoint:
         """The factor at positions k..m-1 of the fixed point."""
         if not 0 <= k <= m:
             raise ValueError(f"invalid range [{k}, {m})")
-        return tuple(self._bytes(k, m))
+        self.extend_to(m)
+        return tuple(self._buf[k:m])
 
     def first_occurrences(self, limit: int) -> dict[int, int]:
         """First position below limit of each symbol found there, in order of position.

@@ -1,8 +1,13 @@
 """End-to-end command line behavior, including exit codes and exact output."""
 
 import hashlib
+import json
+import os
+import resource
 import shutil
 import subprocess
+import sys
+import tracemalloc
 from time import perf_counter
 
 import pytest
@@ -14,6 +19,7 @@ from morpheq.repsearch import MAX_ALPHABET, MAX_IMAGE_LEN
 from morpheq.subseq import MAX_COUNT
 from morpheq.words import CHUNK, Morphism, format_word
 
+import cli_digests
 from conftest import FIB_CERTIFICATE_P34, FIXTURES, UNIFORM_256_512
 
 
@@ -159,6 +165,28 @@ class TestCheck:
             "violation: budget on pair 0: "
             "power 34 of the morphism needs more than 1048576 image symbols\n"
         )
+
+    def test_rejects_long_images_by_length_before_expanding(self, tmp_path):
+        # Thue-Morse on both sides at (18, 18) and one pair of 20,000 zeros:
+        # f^18 of the pair's word has 20,000 * 2^18 symbols.  The child's
+        # address space is capped so that expanding it fails fast.
+        cert = tmp_path / "long.proof"
+        cert.write_text("2\n01\n10\n01\n" * 2 + "18 18 general\n1\n" + ("0" * 20000 + "\n") * 2 + "0\n")
+        start = perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "morpheq.cli", "check", str(cert)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        seconds = perf_counter() - start
+        assert (result.returncode, result.stderr) == (1, "")
+        assert result.stdout == (
+            "violation: f-decomposition on pair 0: f-image does not match the index word\n"
+            "violation: g-decomposition on pair 0: g-image does not match the index word\n"
+        )
+        assert seconds < 1
 
 
 class TestVerifyPrefix:
@@ -352,6 +380,23 @@ class TestSearch:
         assert code == 0
         assert capsys.readouterr().out == self.EXPECTED_OUT
 
+    def test_digit_file_target_builds_only_the_searched_prefix(self, capsys, tmp_path):
+        # 2 * 10^6 digits: as one word the file would take about 16 MB.
+        argv = ["search", "--alphabet", "2", "--maxlen", "2", "--prefix", "20", "--target"]
+        short, long = tmp_path / "short.digits", tmp_path / "long.digits"
+        short.write_text("01" * 10 + "\n")
+        long.write_text("01" * 10**6 + "\n")
+        assert main(argv + [str(short)]) == 0
+        expected = capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(argv + [str(long)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr() == expected
+        assert peak < 6 * 10**6
+
     @pytest.mark.parametrize(
         "builtin, count, sha256, jobs, alphabet",
         [pytest.param(*pin, id=pinned_search_id(*pin)) for pin in PINNED_SEARCHES],
@@ -478,6 +523,13 @@ class TestInputFiles:
         path.write_bytes(b"2\r\n01\r0\n\xff\n")
         assert main(["prove", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: line 4: byte 0xff is not ASCII\n"
+
+
+def test_outputs_match_the_recorded_digests():
+    """Every command of cli_digests writes what it wrote when recorded."""
+    start = perf_counter()
+    assert cli_digests.digests() == json.loads(cli_digests.RECORD.read_text())
+    assert perf_counter() - start < 5
 
 
 class TestConsoleScript:

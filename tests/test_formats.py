@@ -93,9 +93,11 @@ class TestParseProblem:
             parse_problem("2\n01\n0\n011\n" + FIB_SIDE)
 
     def test_reports_truncation_with_line_number(self):
-        with pytest.raises(ParseError, match="missing coding line for g") as err:
-            parse_problem("2\n01\n0\n01\n3\n021\n102\n02\n")
-        assert err.value.line == 9
+        # With no trailing newline the input ends before the coding line.
+        for end in ("\n", ""):
+            with pytest.raises(ParseError, match="missing coding line for g") as err:
+                parse_problem("2\n01\n0\n01\n3\n021\n102\n02" + end)
+            assert err.value.line == 9
 
     def test_distinguishes_blank_line_from_truncation(self):
         with pytest.raises(ParseError, match=r"line 3: blank line where image f\(1\)"):

@@ -5,6 +5,7 @@ from time import perf_counter
 
 import pytest
 
+from morpheq import proofdoc
 from morpheq.formats import parse_problem, parse_proof
 from morpheq.proofdoc import check_proof, render_latex, render_text
 from morpheq.prover import Proof, SafePairTable, prove_general
@@ -104,6 +105,15 @@ class TestChecker:
         report = check_proof(parse_proof(FIB_CERTIFICATE_P34))
         assert perf_counter() - start < 1
         assert [(v.condition, v.pair) for v in report.violations] == [("budget", 0)]
+
+    @pytest.mark.parametrize("budget, violations", [(16, []), (15, [("budget", 1)]), (4, [("budget", 0)])])
+    def test_reports_expansion_over_budget(self, monkeypatch, budget, violations):
+        # The four obligations of this proof expand 5, 5, 3 and 3 symbols.
+        monkeypatch.setattr(proofdoc, "EXPAND_BUDGET", budget)
+        report = check_proof(proof_for("fib_three_letter.txt"))
+        assert [(v.condition, v.pair) for v in report.violations] == violations
+        if violations:
+            assert report.violations[0].detail == f"decompositions expand more than {budget} symbols"
 
 
 class TestRenderers:

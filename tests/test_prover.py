@@ -13,6 +13,7 @@ from morpheq.prover import (
     ProofMode,
     ProveFailure,
     ProverConfig,
+    SafePairTable,
     derive_table,
     find_initial_safe_pair,
     prove_basic,
@@ -214,10 +215,18 @@ class TestProveBasic:
 
     def test_coded_words_that_differ_are_a_coding_mismatch(self):
         fib = Morphism.from_strings("01", "0")
-        problem = EqualityProblem(fib, Coding.identity(2), fib, Coding.from_string("10"))
-        with pytest.raises(ProveFailure) as exc:
-            prove_basic(problem)
-        assert exc.value.stage is FailureStage.CODING_MISMATCH
+        # 0 -> 0 1 ... 10, coded 10 -> 9: words past digits print with commas.
+        wide = Morphism((tuple(range(11)),) + tuple((s,) for s in range(1, 11)))
+        g0 = ",".join(map(str, range(11)))
+        for f, rho, pair in [
+            (fib, Coding.from_string("10"), "(01, 01)"),
+            (wide, Coding(tuple(range(10)) + (9,), 11), f"({g0}, {g0})"),
+        ]:
+            problem = EqualityProblem(f, Coding.identity(f.alphabet_size), f, rho)
+            with pytest.raises(ProveFailure) as exc:
+                prove_basic(problem)
+            assert exc.value.stage is FailureStage.CODING_MISMATCH
+            assert exc.value.detail == f"coded words differ on pair {pair} for symbol 0"
 
     def test_symbol_missing_within_horizon_is_decomposition_stuck(self, monkeypatch):
         fib = Morphism.from_strings("01", "0")
@@ -247,8 +256,22 @@ class TestProveBasic:
 class TestProblemValidation:
     def test_coding_sizes_must_match(self):
         fib = Morphism.from_strings("01", "0")
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match="tau does not cover f's alphabet"):
             EqualityProblem(fib, Coding.identity(3), fib, Coding.identity(2))
+        with pytest.raises(ValueError, match="rho does not cover g's alphabet"):
+            EqualityProblem(fib, Coding.identity(2), fib, Coding.identity(3))
+
+    @pytest.mark.parametrize(
+        "pairs, decompositions, message",
+        [
+            ((), (), "table needs at least one pair"),
+            ((((0,), (0,)),), ((0,), (0,)), "each pair needs exactly one decomposition"),
+        ],
+        ids=["no-pairs", "extra-decomposition"],
+    )
+    def test_tables_need_one_decomposition_per_pair(self, pairs, decompositions, message):
+        with pytest.raises(ValueError, match=message):
+            SafePairTable(pairs, decompositions)
 
     def test_sides_must_be_prolongable(self):
         fib = Morphism.from_strings("01", "0")

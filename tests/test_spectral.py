@@ -3,8 +3,10 @@
 import math
 from fractions import Fraction
 
+import pytest
+
 from morpheq.spectral import estimate_eigenvalue, incidence_matrix
-from morpheq.words import Morphism
+from morpheq.words import AlphabetError, Morphism
 
 FIB = Morphism.from_strings("01", "0")
 SPIR = Morphism.from_strings("01", "21", "2")
@@ -55,3 +57,15 @@ def test_estimates_alternate_around_limit():
     values = [float(estimate_eigenvalue(FIB, 0, n).value) - PHI for n in range(2, 9)]
     assert all(a * b < 0 for a, b in zip(values, values[1:]))
 
+
+@pytest.mark.parametrize(
+    "a, n, error, message",
+    [
+        (0, 0, ValueError, "iteration count must be at least 1"),
+        (2, 8, AlphabetError, "symbol 2 outside alphabet of size 2"),
+    ],
+    ids=["no-iterations", "symbol-outside"],
+)
+def test_estimate_refuses_bad_arguments(a, n, error, message):
+    with pytest.raises(error, match=message):
+        estimate_eigenvalue(FIB, a, n)

@@ -148,6 +148,8 @@ def test_coding_validation():
         Coding((0, 2), 2)
     with pytest.raises(ValueError):
         Coding((), 1)
+    with pytest.raises(ValueError, match="target alphabet must be non-empty"):
+        Coding((0,), 0)
     with pytest.raises(AlphabetError):
         Coding.from_string("01").apply((2,))
     with pytest.raises(ValueError, match="coding needs at least one symbol"):
@@ -185,6 +187,19 @@ def test_prune_unreachable_is_identity_when_all_occur():
     assert pruned == SPIR_AT_2
     assert coding == tau
     assert start == 2
+
+
+@pytest.mark.parametrize(
+    "coding, start, message",
+    [
+        (Coding.identity(3), 0, "coding and morphism disagree on alphabet size"),
+        (Coding.identity(2), 2, "symbol 2 outside alphabet"),
+    ],
+    ids=["coding-size", "start-symbol"],
+)
+def test_prune_unreachable_refuses_inputs_that_disagree(coding, start, message):
+    with pytest.raises(AlphabetError, match=message):
+        prune_unreachable(FIB, coding, start)
 
 
 def test_prune_renumbers_and_preserves_sequence():
@@ -478,6 +493,21 @@ PREFIX_READERS = {
     "MorphicRep.prefix": lambda n: MorphicRep.pure(FIB).prefix(n),
     "first_mismatch": lambda n: first_mismatch(MorphicRep.pure(FIB), ZEROS, n),
 }
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda: FixedPoint(FIB).prefix(-1), "prefix length must be non-negative"),
+        (lambda: FixedPoint(FIB).factor(-1, 0), r"invalid range \[-1, 0\)"),
+        (lambda: FixedPoint(FIB).at(-1), "position must be non-negative"),
+        (lambda: MorphicRep.pure(FIB).prefix(-1), "prefix length must be non-negative"),
+    ],
+    ids=["FixedPoint.prefix", "FixedPoint.factor", "FixedPoint.at", "MorphicRep.prefix"],
+)
+def test_readers_refuse_negative_positions(read, message):
+    with pytest.raises(ValueError, match=message):
+        read()
 
 
 @pytest.mark.parametrize("n", [MAX_PREFIX + 1, 10**18])
