@@ -6,12 +6,13 @@ certificate on its own authority; the prover is never consulted.  What it
 cannot evaluate is a violation, not an exception: a pair symbol outside its
 side's alphabet is an "alphabet" violation, and exponents whose powers would
 pass words.POWER_LIMIT, or decompositions that would expand more than
-EXPAND_BUDGET symbols, are a "budget" violation.  Each decomposition is
-compared by lengths before it is expanded.  Renderers refuse proofs that do
-not pass the checker and otherwise emit a fixed, deterministic document:
+words.EXPAND_BUDGET symbols, are a "budget" violation.  Each decomposition
+is compared by lengths before it is expanded.  Renderers refuse proofs that
+do not pass the checker and otherwise emit a fixed, deterministic document:
 scaling announcements, the claim, the numbered simultaneous properties, the
 n=0 basis, one induction-step block per pair, and a closing line, with one
-blank line between blocks.
+blank line between blocks.  Text and LaTeX come from one template, and a
+notation table holds every difference between them.
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .prover import Proof
-from .words import AlphabetError, Morphism, PowerLimitError, format_word
-
-
-# Most symbols check_proof expands in all, at about 24 bytes each while their
-# obligation is checked: near 100 MB and 2 s (2 vCPU).  prove writes at most
-# 29,046 in basic mode and 750 in general mode over the benchmark's decide
-# corpus, seeds 1-3, and every fixture.
-EXPAND_BUDGET = 1 << 22
+from .words import EXPAND_BUDGET, AlphabetError, PowerLimitError, format_word
 
 
 @dataclass(frozen=True)
@@ -104,107 +98,93 @@ def _decomposition_violations(proof: Proof, valid: list[int]):
             yield Violation(f"{name}-decomposition", i, f"{name}-image does not match the index word")
 
 
-def _images_text(name: str, m: Morphism) -> str:
-    return ", ".join(f"{name}({a}) = {format_word(im)}" for a, im in enumerate(m.images))
+@dataclass(frozen=True)
+class _Notation:
+    """Every difference between the text and LaTeX renderings."""
+
+    tau: str
+    rho: str
+    next: str  # exponent n+1
+    inf: str  # exponent of the fixed point
+    lead: str  # before a block of prose
+    math: str  # around a formula
+    open_eq: str  # ends an equation that goes on in the next block
 
 
-def _require_checked(proof: Proof) -> None:
-    report = check_proof(proof)
-    if not report.ok:
-        first = report.violations[0]
+_TEXT = _Notation("τ", "ρ", "^(n+1)", "^∞", "", "", " =")
+_LATEX = _Notation("\\tau", "\\rho", "^{n+1}", "^\\infty", "\\noindent ", "$", " = $")
+
+
+def _render(proof: Proof, t: _Notation) -> str:
+    violations = check_proof(proof).violations
+    if violations:
         raise ValueError(
             f"refusing to render: proof fails checking "
-            f"({first.condition} on pair {first.pair})"
+            f"({violations[0].condition} on pair {violations[0].pair})"
         )
-
-
-def _blocks(proof: Proof, latex: bool) -> list[str]:
-    fp = proof.scaled_f
-    gq = proof.scaled_g
-    tau = proof.problem.tau
     pairs = proof.table.pairs
-    decomps = proof.table.decompositions
-
-    if latex:
-        t, r = "\\tau", "\\rho"
-        n_now, n_zero, n_next, inf = "^n", "^0", "^{n+1}", "^\\infty"
-        lead = "\\noindent "
-    else:
-        t, r = "τ", "ρ"
-        n_now, n_zero, n_next, inf = "^n", "^0", "^(n+1)", "^∞"
-        lead = ""
 
     def math(s: str) -> str:
-        return f"${s}$" if latex else s
+        return f"{t.math}{s}{t.math}"
 
     def tf(power: str, w: str) -> str:
-        return f"{t}(f{power}({w}))"
+        return f"{t.tau}(f{power}({w}))"
 
     def rg(power: str, w: str) -> str:
-        return f"{r}(g{power}({w}))"
-
-    def replace_block(name: str, k: int, m: Morphism) -> str:
-        images = _images_text(name, m)
-        if latex:
-            return f"{lead}Replace ${name}$ by ${name}^{k}$:\n${images}$."
-        return f"Replace {name} by {name}^{k}:\n{images}."
+        return f"{t.rho}(g{power}({w}))"
 
     blocks: list[str] = []
-    if proof.p > 1:
-        blocks.append(replace_block("f", proof.p, fp))
-    if proof.q > 1:
-        blocks.append(replace_block("g", proof.q, gq))
+    for name, k, m in (("f", proof.p, proof.scaled_f), ("g", proof.q, proof.scaled_g)):
+        if k > 1:
+            images = ", ".join(f"{name}({a}) = {format_word(im)}" for a, im in enumerate(m.images))
+            blocks.append(f"{t.lead}Replace {math(name)} by {math(f'{name}^{k}')}:\n{math(images)}.")
 
-    claim = f"{tf(inf, '0')} = {rg(inf, '0')}"
-    blocks.append(f"{lead}Claim to be proved: {math(claim)}.")
+    claim = f"{tf(t.inf, '0')} = {rg(t.inf, '0')}"
+    blocks.append(f"{t.lead}Claim to be proved: {math(claim)}.")
 
     noun = "property" if len(pairs) == 1 else "properties"
-    induction_on = math("n")
     blocks.append(
-        f"{lead}We will prove the following {len(pairs)} {noun} "
-        f"simultaneously by induction on {induction_on}."
+        f"{t.lead}We will prove the following {len(pairs)} {noun} "
+        f"simultaneously by induction on {math('n')}."
     )
 
     for i, (u, v) in enumerate(pairs):
-        prop = f"{tf(n_now, format_word(u))} = {rg(n_now, format_word(v))}"
+        prop = f"{tf('^n', format_word(u))} = {rg('^n', format_word(v))}"
         blocks.append(f"({i}) {math(prop)}.")
 
-    blocks.append(f"{lead}Then our claim follows from (0).")
+    blocks.append(f"{t.lead}Then our claim follows from (0).")
 
-    blocks.append(f"{lead}Basis {math('n=0')} of induction:")
+    blocks.append(f"{t.lead}Basis {math('n=0')} of induction:")
     for u, v in pairs:
-        coded = format_word(tau.apply(u))
-        basis = f"{tf(n_zero, format_word(u))} = {coded} = {rg(n_zero, format_word(v))}"
+        coded = format_word(proof.problem.tau.apply(u))
+        basis = f"{tf('^0', format_word(u))} = {coded} = {rg('^0', format_word(v))}"
         blocks.append(f"{math(basis)}.")
-    blocks.append(f"{lead}Basis of induction proved.")
+    blocks.append(f"{t.lead}Basis of induction proved.")
 
-    for i, ((u, v), w) in enumerate(zip(pairs, decomps)):
-        blocks.append(f"{lead}Induction step part ({i}):")
-        fu = format_word(fp.apply(u))
-        gv = format_word(gq.apply(v))
+    for i, ((u, v), w) in enumerate(zip(pairs, proof.table.decompositions)):
+        blocks.append(f"{t.lead}Induction step part ({i}):")
+        fu = format_word(proof.scaled_f.apply(u))
+        gv = format_word(proof.scaled_g.apply(v))
         uw = format_word(u)
         vw = format_word(v)
-        opening = f"{tf(n_next, uw)} = {tf(n_now, f'f({uw})')} = {tf(n_now, fu)}"
-        blocks.append(f"${opening} = $" if latex else f"{opening} =")
-        lhs = " ".join(tf(n_now, format_word(pairs[j][0])) for j in w)
-        hyp = "(by induction hypothesis)"
-        blocks.append(f"${lhs} =$ {hyp}" if latex else f"{lhs} = {hyp}")
-        rhs = " ".join(rg(n_now, format_word(pairs[j][1])) for j in w)
-        blocks.append(f"${rhs} = $" if latex else f"{rhs} =")
-        closing = f"{rg(n_now, gv)} = {rg(n_now, f'g({vw})')} = {rg(n_next, vw)}."
+        opening = f"{tf(t.next, uw)} = {tf('^n', f'f({uw})')} = {tf('^n', fu)}"
+        blocks.append(f"{t.math}{opening}{t.open_eq}")
+        lhs = " ".join(tf("^n", format_word(pairs[j][0])) for j in w)
+        blocks.append(f"{t.math}{lhs} ={t.math} (by induction hypothesis)")
+        rhs = " ".join(rg("^n", format_word(pairs[j][1])) for j in w)
+        blocks.append(f"{t.math}{rhs}{t.open_eq}")
+        closing = f"{rg('^n', gv)} = {rg('^n', f'g({vw})')} = {rg(t.next, vw)}."
         blocks.append(math(closing))
 
-    blocks.append(f"{lead}Induction step proved, hence claim proved.")
-    return blocks
+    blocks.append(f"{t.lead}Induction step proved, hence claim proved.")
+    return "\n\n".join(blocks) + "\n"
 
 
 def render_text(proof: Proof) -> str:
     """Plain-text proof document; requires the proof to pass check_proof."""
-    _require_checked(proof)
-    return "\n\n".join(_blocks(proof, latex=False)) + "\n"
+    return _render(proof, _TEXT)
 
 
 def render_latex(proof: Proof) -> str:
     """LaTeX body fragment of the proof; requires the proof to pass check_proof."""
-    _require_checked(proof)
-    return "\n\n".join(_blocks(proof, latex=True)) + "\n"
+    return _render(proof, _LATEX)

@@ -12,7 +12,9 @@ scan f(u_i) against g(v_i) left to right, at each cut take the smallest safe
 pair, reuse or append it, and record its index; there is no backtracking, and
 the first coding violation aborts the attempt.  The basic one tries the fixed
 shape v_i = w_i = g(i) with u_i cut out of f's fixed point at the position
-where symbol i first occurs in g's fixed point.
+where symbol i first occurs in g's fixed point.  Both give up before their
+table makes check_proof expand more than words.EXPAND_BUDGET symbols: the
+general one as pair-budget-exceeded, the basic one as decomposition-stuck.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import ClassVar
 
 from .scaling import DEFAULT_TOLERANCE, equalize
 from .words import (
+    EXPAND_BUDGET,
     Coding,
     FixedPoint,
     Morphism,
@@ -183,18 +186,15 @@ def find_initial_safe_pair(
     1..MAX_PAIR_LEN, as in ProverConfig.
     """
     _check_pair_len(max_len)
-    sf = FixedPoint(f)
-    sg = FixedPoint(g)
-    positions = range(max_len)
-    cut = _smallest_safe_cut(
-        map(sf.at, positions), map(sg.at, positions), f.image_lengths(), g.image_lengths()
-    )
+    fw = FixedPoint(f).prefix(max_len)
+    gw = FixedPoint(g).prefix(max_len)
+    cut = _smallest_safe_cut(fw, gw, f.image_lengths(), g.image_lengths())
     if cut is None:
         raise ProveFailure(
             FailureStage.NO_INITIAL_SAFE_PAIR,
             f"no safe prefix pair up to length {max_len}",
         )
-    return sf.prefix(cut), sg.prefix(cut)
+    return fw[:cut], gw[:cut]
 
 
 def derive_table(
@@ -210,7 +210,6 @@ def derive_table(
     fails as decomposition-stuck otherwise, because the image lengths of
     candidate cuts drift apart.
     """
-    initial = find_initial_safe_pair(f, g, config.max_pair_len)
     flen_of = f.image_lengths()
     glen_of = g.image_lengths()
 
@@ -237,10 +236,17 @@ def derive_table(
         pairs.append(key)
         return index[key]
 
-    intern(*initial)
-    i = 0
+    intern(*find_initial_safe_pair(f, g, config.max_pair_len))
+    i = expanded = 0
     while i < len(pairs):
         u, v = pairs[i]
+        # What check_proof expands for this pair: |f(u)| + |g(v)|.
+        expanded += sum(flen_of[s] for s in u) + sum(glen_of[s] for s in v)
+        if expanded > EXPAND_BUDGET:
+            raise ProveFailure(
+                FailureStage.PAIR_BUDGET_EXCEEDED,
+                f"pairs expand more than {EXPAND_BUDGET} symbols",
+            )
         fu = f.apply(u)
         gv = g.apply(v)
         w: list[int] = []
@@ -326,6 +332,8 @@ def prove_basic(
             )
         us.append(seq_f.factor(start, end))
 
+    flen = fp.image_lengths()
+    expanded = 0
     for i in range(n):
         u = us[i]
         v = gq.images[i]
@@ -334,8 +342,15 @@ def prove_basic(
                 FailureStage.CODING_MISMATCH,
                 f"coded words differ on pair ({_show(u)}, {_show(v)}) for symbol {i}",
             )
-        expected = tuple(s for a in v for s in us[a])
-        if fp.apply(u) != expected:
+        # check_proof expands |f(u)| + |g(v)|, and |f(u)| must equal |g(v)|.
+        size = sum(glen[s] for s in v)
+        expanded += 2 * size
+        if expanded > EXPAND_BUDGET:
+            raise ProveFailure(
+                FailureStage.DECOMPOSITION_STUCK,
+                f"pairs expand more than {EXPAND_BUDGET} symbols",
+            )
+        if sum(flen[s] for s in u) != size or fp.apply(u) != tuple(s for a in v for s in us[a]):
             raise ProveFailure(
                 FailureStage.DECOMPOSITION_STUCK,
                 f"f-image of {_show(u)} does not decompose along g({i}) = {_show(v)}",

@@ -65,6 +65,11 @@ READ_SHARE = 64
 # Most symbols Morphism.power writes, summed over the images of f^2, ..., f^k
 # it builds on the way to f^k.
 POWER_LIMIT = 1 << 20
+# Most symbols proofdoc.check_proof expands in all, at about 24 bytes each
+# while their obligation is checked: near 100 MB and 2 s (2 vCPU).  Neither
+# prover builds a table past it; prove writes at most 29,046 in basic mode and
+# 750 in general mode on the fixtures and the decide corpus, seeds 1-3.
+EXPAND_BUDGET = 1 << 22
 # Longest prefix a FixedPoint expands to and first_mismatch compares.
 # Expansion keeps one byte per symbol it holds, so this bounds the memory of
 # every reader: at the limit, the two sides of verify-prefix take about

@@ -30,6 +30,9 @@ COMMANDS = [
     *(["prove", name] for name in PROBLEMS),
     *(["prove", name, "--format", "latex"] for name in PROBLEMS),
     *(["prove", name, "--basic"] for name in PROBLEMS),
+    *(["prove", name, "--basic", "--format", "latex"] for name in PROBLEMS),
+    # Both ends of the safe-prefix read.
+    *(["prove", name, "--max-pair-len", n] for name in PROBLEMS for n in ("1", "100000")),
     *(["check", name] for name in CERTIFICATES),
     *(["verify-prefix", name, "--n", n] for name in PROBLEMS for n in ("1", "1000", "100000")),
     *(["subseq", "--builtin", b, "--op", op, "--n", "100"] for b in BUILTINS for op in ("even", "odd")),

@@ -139,6 +139,31 @@ class TestProve:
         assert main(["prove", fixture_path("fib_three_letter.txt"), "--tol", tol]) == 2
         assert capsys.readouterr().err == "error: tolerance must be finite\n"
 
+    @pytest.mark.parametrize("g, options, out", [
+        (("0" + "1" * 9999, "1" * 10000), ["--basic"], "decomposition-stuck"),
+        (("0" + "1" * 19998, "1" * 9999), ["--max-pair-len", "10000"], "pair-budget-exceeded"),
+    ], ids=["basic", "general"])
+    def test_gives_up_past_the_expansion_budget(self, tmp_path, g, options, out):
+        # f = 0 -> 0 1^9999, 1 -> 1^10000, coded 01.  Against f itself, the
+        # basic table's first pair has an f-image of about 10^8 symbols;
+        # against this g, the first safe prefix pair is 10^4 symbols long, so
+        # its images have about 10^8 as well.  The child's address space is
+        # capped so that expanding either fails fast.
+        problem = tmp_path / "long.txt"
+        problem.write_text("2\n0" + "1" * 9999 + "\n" + "1" * 10000 + "\n01\n" + f"2\n{g[0]}\n{g[1]}\n01\n")
+        start = perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "morpheq.cli", "prove", str(problem), *options],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        seconds = perf_counter() - start
+        assert (result.returncode, result.stderr) == (1, "")
+        assert result.stdout == f"gave up: {out}: pairs expand more than {1 << 22} symbols\n"
+        assert seconds < 1
+
 
 class TestCheck:
     def test_accepts_generated_certificate(self, capsys, golden_dir):

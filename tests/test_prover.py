@@ -4,8 +4,9 @@ from time import perf_counter
 
 import pytest
 
-from morpheq import prover
+from morpheq import proofdoc, prover
 from morpheq.formats import parse_problem
+from morpheq.proofdoc import check_proof
 from morpheq.prover import (
     MAX_PAIR_LEN,
     EqualityProblem,
@@ -251,6 +252,35 @@ class TestProveBasic:
         problem = EqualityProblem(fib, Coding.identity(2), fib, Coding.identity(2))
         proof = prove_basic(problem)
         assert [u for u, _ in proof.table.pairs] == [w("01"), w("0")]
+
+
+class TestExpandBudget:
+    @pytest.mark.parametrize("name, prove, stage", [
+        ("fib_three_letter.txt", prove_general, FailureStage.PAIR_BUDGET_EXCEEDED),
+        ("fib_coded_triple.txt", prove_basic, FailureStage.DECOMPOSITION_STUCK),
+    ], ids=["general", "basic"])
+    def test_prover_and_checker_agree_at_the_budget(self, monkeypatch, name, prove, stage):
+        def set_budget(budget):
+            monkeypatch.setattr(proofdoc, "EXPAND_BUDGET", budget)
+            monkeypatch.setattr(prover, "EXPAND_BUDGET", budget)
+
+        problem = parse_problem(read_fixture(name))
+        unbounded = prove(problem)
+        # The symbols check_proof expands: the images of every pair.
+        size = sum(
+            len(unbounded.scaled_f.apply(u)) + len(unbounded.scaled_g.apply(v))
+            for u, v in unbounded.table.pairs
+        )
+        set_budget(size)
+        proof = prove(problem)
+        assert proof == unbounded
+        assert check_proof(proof).ok
+        set_budget(size - 1)
+        with pytest.raises(ProveFailure) as exc:
+            prove(problem)
+        assert exc.value.stage is stage
+        assert exc.value.detail == f"pairs expand more than {size - 1} symbols"
+        assert [v.condition for v in check_proof(proof).violations] == ["budget"]
 
 
 class TestProblemValidation:
