@@ -23,7 +23,7 @@ from .formats import (
 )
 from .proofdoc import check_proof, render_latex, render_text
 from .prover import MAX_PAIR_LEN, ProveFailure, ProverConfig, prove_basic, prove_general
-from .repsearch import MAX_ALPHABET, MAX_IMAGE_LEN, POOL_NODES, SearchSpec, search
+from .repsearch import MAX_ALPHABET, MAX_IMAGE_LEN, POOL_NODES, SearchSpec, matches
 from .subseq import MAX_COUNT, MAX_ODD_POWER, arith_prefix, block_encode, odd_length_power
 from .words import MAX_PREFIX, MorphicRep, first_mismatch, format_word, is_digits, parse_word
 
@@ -109,7 +109,7 @@ def _cmd_subseq(args) -> int:
         ]
         print(f"upscale {k}")
         print(f"blocks {' '.join(blocks)}")
-        sys.stdout.write(serialize_rep(g, coding.apply(first.table)))
+        sys.stdout.write(serialize_rep(g.images, coding.apply(first.table)))
         print(format_word(coding.apply(second.table)))
         return 0
     rep, start, step = catalog.BUILTINS[args.builtin]
@@ -135,13 +135,12 @@ def _cmd_search(args) -> int:
         prefix_len=args.prefix,
         jobs=args.jobs,
     )
-    results = search(spec)
+    results = matches(spec)
     print(f"found {len(results)} representations", file=sys.stderr)
     # Results share a few hundred distinct words at most; format each once.
     fmt = functools.cache(format_word)
     sys.stdout.write("\n".join(
-        f"complexity {rep.complexity}\n" + serialize_rep(rep.morphism, rep.coding.table, fmt)
-        for rep in results
+        f"complexity {size}\n" + serialize_rep(images, table, fmt) for size, images, table in results
     ))
     return 0
 

@@ -125,14 +125,15 @@ def parse_rep(text: str) -> tuple[Morphism, Coding]:
     return f, Coding(table, max(table) + 1)
 
 
-def serialize_rep(f: Morphism, table: Word, fmt=format_word) -> str:
+def serialize_rep(images: tuple[Word, ...], table: Word, fmt=format_word) -> str:
     """The lines parse_rep reads, each word formatted by fmt: alphabet size, images, coding."""
-    lines = [str(f.alphabet_size), *map(fmt, f.images), fmt(table)]
+    lines = [str(len(images)), *map(fmt, images), fmt(table)]
     return "\n".join(lines) + "\n"
 
 
 def serialize_problem(problem: EqualityProblem) -> str:
-    return serialize_rep(problem.f, problem.tau.table) + serialize_rep(problem.g, problem.rho.table)
+    f, g = problem.f.images, problem.g.images
+    return serialize_rep(f, problem.tau.table) + serialize_rep(g, problem.rho.table)
 
 
 def parse_proof(text: str) -> Proof:

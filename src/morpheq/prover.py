@@ -28,6 +28,7 @@ from typing import ClassVar
 from .scaling import DEFAULT_TOLERANCE, equalize
 from .words import (
     EXPAND_BUDGET,
+    POWER_BYTES,
     Coding,
     FixedPoint,
     Morphism,
@@ -156,6 +157,8 @@ class Proof:
 
     @cached_property
     def scaled_g(self) -> Morphism:
+        if (self.problem.g, self.q) == (self.problem.f, self.p):
+            return self.scaled_f
         return self.problem.g.power(self.q)
 
 
@@ -182,19 +185,20 @@ def find_initial_safe_pair(
 ) -> tuple[Word, Word]:
     """Smallest equal-length prefixes of the two fixed points forming a safe pair.
 
-    Reads max_len symbols of each fixed point; max_len must lie in
-    1..MAX_PAIR_LEN, as in ProverConfig.
+    Reads prefixes of each fixed point that double from POWER_BYTES symbols
+    up to max_len, and stops at the first that holds a safe cut; max_len
+    must lie in 1..MAX_PAIR_LEN, as in ProverConfig.
     """
     _check_pair_len(max_len)
-    fw = FixedPoint(f).prefix(max_len)
-    gw = FixedPoint(g).prefix(max_len)
-    cut = _smallest_safe_cut(fw, gw, f.image_lengths(), g.image_lengths())
-    if cut is None:
-        raise ProveFailure(
-            FailureStage.NO_INITIAL_SAFE_PAIR,
-            f"no safe prefix pair up to length {max_len}",
-        )
-    return fw[:cut], gw[:cut]
+    fp, gp = FixedPoint(f), FixedPoint(g)
+    size = 0
+    while size < max_len:
+        size = min(max_len, max(2 * size, POWER_BYTES))
+        fw, gw = fp.prefix(size), gp.prefix(size)
+        cut = _smallest_safe_cut(fw, gw, f.image_lengths(), g.image_lengths())
+        if cut is not None:
+            return fw[:cut], gw[:cut]
+    raise ProveFailure(FailureStage.NO_INITIAL_SAFE_PAIR, f"no safe prefix pair up to length {max_len}")
 
 
 def derive_table(

@@ -43,22 +43,26 @@ walk has visited POOL_NODES nodes, then runs the tasks left over a process
 pool, largest first, with at most one worker per job, per task left and per
 CPU.  With one job, one CPU or one task left there is no pool, and a walk
 that ends below POOL_NODES never starts one: a small search is over before a
-pool would have started.  Each task's results are turned into FoundReps as
-soon as they arrive, so with a pool that work overlaps the walk; results
-with the same coding table share one Coding.
+pool would have started.
 
 A result is reported only when every image was consumed while deriving the
-prefix, i.e. when the match leaves no free choice open.  Results come back
-sorted by complexity (total image length), then by image list, then coding.
+prefix, i.e. when the match leaves no free choice open.  The walk records it
+as a (complexity, images, coding table) tuple, complexity being the total
+image length.  matches() sorts those in tuple order and checks each distinct
+image and table once, as Morphism and Coding would.  search() builds
+FoundReps from each task's records as they arrive, overlapping a pool's walk.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+import itertools
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .words import ALPHABET_LIMIT, AlphabetError, Coding, FixedPoint, Morphism, Word, rename_symbols
+from .words import ALPHABET_LIMIT, AlphabetError, Coding, FixedPoint, Morphism, Word, check_image, rename_symbols
 
 MAX_ALPHABET = 6
 MAX_IMAGE_LEN = 3
@@ -134,7 +138,8 @@ _Fit = tuple[Word, tuple[tuple[int, int], ...], int]
 # branch point below it.
 _Task = tuple[_Fit, _Fit]
 
-_Result = tuple[tuple[Word, ...], tuple[int, ...]]
+# A match: complexity, images, coding table.
+Match = tuple[int, tuple[Word, ...], tuple[int, ...]]
 
 
 class _Searcher:
@@ -154,7 +159,7 @@ class _Searcher:
         self.buf: list[int] = []
         self.ptr = 0
         self.max_seen = 0
-        self.results: list[_Result] = []
+        self.results: list[Match] = []
         self.nodes = 0  # _walk calls, over tasks() and every run()
         self._viable: dict[tuple, list[list[_Fit]]] = {}
 
@@ -174,7 +179,7 @@ class _Searcher:
         out.sort(key=lambda task: task[1][2], reverse=True)
         return out
 
-    def run(self, task: _Task) -> list[_Result]:
+    def run(self, task: _Task) -> list[Match]:
         """Search the subtree of one task; returns the results found in it."""
         root, first = task
         self.results = []
@@ -311,7 +316,7 @@ class _Searcher:
             buf.extend(image)
             ptr += 1
         if None not in images:
-            self.results.append((tuple(images), tuple(coding)))  # type: ignore[arg-type]
+            self.results.append((sum(map(len, images)), tuple(images), tuple(coding)))  # type: ignore[arg-type]
         return False
 
     def _branch(self, fits: list[_Fit]) -> None:
@@ -349,38 +354,45 @@ def _start_worker(target: Word, n: int, max_len: int) -> None:
     _worker = _Searcher(target, n, max_len)
 
 
-def _search_task(task: _Task) -> list[_Result]:
+def _search_task(task: _Task) -> list[Match]:
     return _worker.run(task)  # type: ignore[union-attr]
 
 
-def search(spec: SearchSpec) -> list[FoundRep]:
-    """All representations matching the target prefix, exhaustively."""
+def _chunks(spec: SearchSpec) -> Iterator[list[Match]]:
+    """The matches of the search, one list per task, in the order they are found."""
     target = spec.target[: spec.prefix_len]
     shape = (target, spec.alphabet_size, spec.max_image_len)
     searcher = _Searcher(*shape)
     tasks = searcher.tasks()
-    target_size = max(target) + 1
-    codings: dict[tuple[int, ...], Coding] = {}
-    found: list[FoundRep] = []
-
-    def collect(chunk: list[_Result]) -> None:
-        for images, table in chunk:
-            coding = codings.get(table)
-            if coding is None:
-                coding = codings[table] = Coding(table, target_size)
-            f = Morphism(images)
-            found.append(FoundRep(f, coding, complexity(f)))
-
-    collect(searcher.results)  # from roots whose walk had no branch point
+    yield searcher.results  # from roots whose walk had no branch point
     workers = min(spec.jobs, os.cpu_count() or 1)
     while tasks and (min(workers, len(tasks)) <= 1 or searcher.nodes < POOL_NODES):
-        collect(searcher.run(tasks.pop()))
+        yield searcher.run(tasks.pop())
     if tasks:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(workers, len(tasks)), initializer=_start_worker, initargs=shape
         ) as pool:
-            for chunk in pool.map(_search_task, tasks):
-                collect(chunk)
+            yield from pool.map(_search_task, tasks)
+
+
+def matches(spec: SearchSpec) -> list[Match]:
+    """All matches of the target prefix, exhaustively, sorted, as plain records."""
+    found = sorted(itertools.chain.from_iterable(_chunks(spec)))
+    # Every match has spec.alphabet_size images.
+    for a, column in enumerate(zip(*(images for _, images, _ in found))):
+        for image in set(column):
+            check_image(a, image, spec.alphabet_size)
+    for table in {table for _, _, table in found}:
+        Coding(table, max(spec.target[: spec.prefix_len]) + 1)
+    return found
+
+
+def search(spec: SearchSpec) -> list[FoundRep]:
+    """All representations matching the target prefix, exhaustively."""
+    target_size = max(spec.target[: spec.prefix_len]) + 1
+    coding = functools.cache(lambda table: Coding(table, target_size))
+    records = itertools.chain.from_iterable(_chunks(spec))
+    found = [FoundRep(Morphism(images), coding(table), size) for size, images, table in records]
     found.sort(key=lambda r: (r.complexity, r.morphism.images, r.coding.table))
     return found
 

@@ -120,6 +120,15 @@ def parse_word(text: str) -> Word:
     return tuple(int(c) for c in text)
 
 
+def check_image(a: int, image: Word, n: int) -> None:
+    """Raise what Morphism raises for image as the image of a over n symbols."""
+    if len(image) == 0:
+        raise ValueError(f"image of {a} is empty")
+    for s in image:
+        if not 0 <= s < n:
+            raise AlphabetError(f"image of {a} uses symbol {s} outside 0..{n - 1}")
+
+
 def format_word(w: Word) -> str:
     """Render a word as a digit string; requires symbols below 10."""
     if any(s > 9 for s in w):
@@ -139,11 +148,7 @@ class Morphism:
         if n == 0:
             raise ValueError("morphism needs at least one symbol")
         for a, im in enumerate(self.images):
-            if len(im) == 0:
-                raise ValueError(f"image of {a} is empty")
-            for s in im:
-                if not 0 <= s < n:
-                    raise AlphabetError(f"image of {a} uses symbol {s} outside 0..{n - 1}")
+            check_image(a, im, n)
 
     @classmethod
     def from_strings(cls, *images: str) -> Morphism:

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, including exit codes and exact output."""
 
+import collections
 import hashlib
 import json
 import os
@@ -12,12 +13,12 @@ from time import perf_counter
 
 import pytest
 
-from morpheq.catalog import fib_rep, spir_rep
+from morpheq.catalog import builtin_prefix, fib_rep, spir_rep
 from morpheq.cli import MAX_PREFIX, main
 from morpheq.prover import MAX_PAIR_LEN
-from morpheq.repsearch import MAX_ALPHABET, MAX_IMAGE_LEN
+from morpheq.repsearch import MAX_ALPHABET, MAX_IMAGE_LEN, FoundRep, SearchSpec, matches, search
 from morpheq.subseq import MAX_COUNT
-from morpheq.words import CHUNK, Morphism, format_word
+from morpheq.words import CHUNK, Coding, Morphism, format_word
 
 import cli_digests
 from conftest import FIB_CERTIFICATE_P34, FIXTURES, UNIFORM_256_512
@@ -372,6 +373,14 @@ def pinned_search_id(builtin, count, sha256, jobs, alphabet):
     )
 
 
+def counted(init, name, built):
+    """init, counting each call in built[name]."""
+    def counting(self, *args, **kwargs):
+        built[name] += 1
+        init(self, *args, **kwargs)
+    return counting
+
+
 class TestSearch:
     EXPECTED_OUT = "complexity 3\n2\n01\n0\n01\n"
 
@@ -436,6 +445,33 @@ class TestSearch:
         captured = capsys.readouterr()
         assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
         assert captured.err == f"found {count} representations\n"
+
+    @pytest.mark.parametrize(
+        "builtin, count, sha256, jobs, alphabet",
+        [pytest.param(*pin, id=pinned_search_id(*pin)) for pin in PINNED_SEARCHES],
+    )
+    def test_search_returns_foundreps_of_the_sorted_matches(self, builtin, count, sha256, jobs, alphabet):
+        spec = SearchSpec(builtin_prefix(builtin, 60), alphabet, 3, 60, jobs)
+        target_size = max(spec.target) + 1
+        expected = [
+            FoundRep(Morphism(images), Coding(table, target_size), size) for size, images, table in matches(spec)
+        ]
+        found = search(spec)
+        assert len(found) == count and found == expected
+        keys = [(r.complexity, r.morphism.images, r.coding.table) for r in found]
+        assert keys == sorted(keys)
+
+    def test_prints_results_without_a_morphism_or_foundrep_each(self, monkeypatch, capsys):
+        """At most one Morphism per distinct image word, and no FoundRep."""
+        built = collections.Counter()
+        for cls in (Morphism, FoundRep):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__init__, cls.__name__, built))
+        code = main(["search", "--target", "fib", "--alphabet", "5", "--maxlen", "3", "--prefix", "60"])
+        assert code == 0
+        blocks = capsys.readouterr().out.split("\n\n")
+        words = {word for block in blocks for word in block.split("\n")[2:7]}
+        assert (len(blocks), len(words)) == (21174, 127)
+        assert built["FoundRep"] == 0 and built["Morphism"] <= len(words)
 
     def test_rejects_non_digit_target_file(self, capsys, tmp_path):
         target = tmp_path / "junk.digits"

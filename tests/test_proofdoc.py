@@ -9,7 +9,7 @@ from morpheq import proofdoc
 from morpheq.formats import parse_problem, parse_proof
 from morpheq.proofdoc import check_proof, render_latex, render_text
 from morpheq.prover import Proof, SafePairTable, prove_general
-from morpheq.words import parse_word
+from morpheq.words import Morphism, parse_word
 
 from conftest import FIB_CERTIFICATE_P34, read_fixture
 
@@ -105,6 +105,18 @@ class TestChecker:
         report = check_proof(parse_proof(FIB_CERTIFICATE_P34))
         assert perf_counter() - start < 1
         assert [(v.condition, v.pair) for v in report.violations] == [("budget", 0)]
+
+    def test_equal_sides_build_one_power(self, monkeypatch):
+        # Thue-Morse on both sides at (18, 18) and one pair of 20,000 zeros.
+        proof = parse_proof("2\n01\n10\n01\n" * 2 + "18 18 general\n1\n" + ("0" * 20000 + "\n") * 2 + "0\n")
+        powers = []
+        power = Morphism.power
+        monkeypatch.setattr(Morphism, "power", lambda f, k: powers.append(k) or power(f, k))
+        report = check_proof(proof)
+        assert powers == [18]
+        assert [(v.condition, v.pair) for v in report.violations] == [
+            ("f-decomposition", 0), ("g-decomposition", 0)
+        ]
 
     @pytest.mark.parametrize("budget, violations", [(16, []), (15, [("budget", 1)]), (4, [("budget", 0)])])
     def test_reports_expansion_over_budget(self, monkeypatch, budget, violations):

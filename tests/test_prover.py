@@ -21,7 +21,9 @@ from morpheq.prover import (
     prove_general,
 )
 from morpheq.words import (
+    POWER_BYTES,
     Coding,
+    FixedPoint,
     Morphism,
     MorphicRep,
     NotProlongableError,
@@ -61,6 +63,22 @@ class TestSafePairs:
         with pytest.raises(ProveFailure) as exc:
             find_initial_safe_pair(fib, other, max_len=2)
         assert exc.value.stage is FailureStage.NO_INITIAL_SAFE_PAIR
+
+    def test_safe_cut_at_one_reads_few_symbols(self, monkeypatch):
+        """The prefixes read stop growing at the first safe cut, far below max_len."""
+        requested = []
+        prefix = FixedPoint.prefix
+        monkeypatch.setattr(FixedPoint, "prefix", lambda fp, n: requested.append(n) or prefix(fp, n))
+        fib = Morphism.from_strings("01", "0")
+        assert find_initial_safe_pair(fib, fib, max_len=10**5) == ((0,), (0,))
+        assert sum(requested) <= 2 * POWER_BYTES
+
+    def test_doubling_reads_find_the_same_cuts(self, monkeypatch):
+        """Read prefixes of 1, 2, 4, ... symbols: cuts past the first read are found."""
+        monkeypatch.setattr(prover, "POWER_BYTES", 1)
+        self.test_initial_pair_is_smallest_safe_prefix_pair()
+        self.test_initial_pair_failure()
+        self.test_initial_pair_respects_length_budget()
 
     @pytest.mark.parametrize("length", [0, 10**6])
     def test_length_budget_outside_its_range_is_refused(self, length):

@@ -17,6 +17,7 @@ from morpheq.repsearch import (
     SearchTooLargeError,
     canonical_form,
     complexity,
+    matches,
     search,
 )
 from morpheq.words import AlphabetError, Coding, FixedPoint, Morphism, MorphicRep
@@ -150,6 +151,47 @@ class TestSearch:
             by_table.setdefault(rep.coding.table, set()).add(id(rep.coding))
         assert len(res) > len(by_table) > 1
         assert all(len(ids) == 1 for ids in by_table.values())
+
+
+# One match: fib as 0 -> 01, 1 -> 0, coded by the identity.
+ONE_MATCH = SearchSpec(target=fib_rep().prefix(30), alphabet_size=2, max_image_len=2, prefix_len=30)
+
+
+class TestMatches:
+    def test_records_are_sorted_and_agree_with_search(self):
+        spec = SearchSpec(target=fib_rep().prefix(40), alphabet_size=3, max_image_len=3, prefix_len=40)
+        records = matches(spec)
+        assert len(records) > 1 and records == sorted(records)
+        assert [(r.complexity, r.morphism.images, r.coding.table) for r in search(spec)] == records
+        assert matches(ONE_MATCH) == [(3, ((0, 1), (0,)), (0, 1))]
+
+    @pytest.mark.parametrize(
+        "corrupt, build",
+        [
+            pytest.param(lambda size, images, table: (size, (images[0], (2,)), table),
+                         lambda: Morphism(((0, 1), (2,))), id="symbol-outside-the-alphabet"),
+            pytest.param(lambda size, images, table: (size, (images[0], ()), table),
+                         lambda: Morphism(((0, 1), ())), id="empty-image"),
+            pytest.param(lambda size, images, table: (size, images, (0, 2)),
+                         lambda: Coding((0, 2), 2), id="coding-outside-the-target"),
+        ],
+    )
+    def test_a_corrupt_record_raises_what_its_constructor_raises(self, monkeypatch, corrupt, build):
+        walk = repsearch._Searcher._walk
+
+        def corrupting_walk(searcher):
+            found = len(searcher.results)
+            more = walk(searcher)
+            if len(searcher.results) > found:
+                searcher.results[-1] = corrupt(*searcher.results[-1])
+            return more
+
+        with pytest.raises(ValueError) as built:
+            build()
+        monkeypatch.setattr(repsearch._Searcher, "_walk", corrupting_walk)
+        with pytest.raises(ValueError) as gathered:
+            matches(ONE_MATCH)
+        assert (type(gathered.value), str(gathered.value)) == (type(built.value), str(built.value))
 
 
 def full_walk(target, n, max_len):
