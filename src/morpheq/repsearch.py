@@ -62,7 +62,7 @@ import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .words import ALPHABET_LIMIT, AlphabetError, Coding, FixedPoint, Morphism, Word, check_image, rename_symbols
+from .words import ALPHABET_LIMIT, AlphabetError, Coding, FixedPoint, Morphism, Word, check_images, rename_symbols
 
 MAX_ALPHABET = 6
 MAX_IMAGE_LEN = 3
@@ -378,10 +378,9 @@ def _chunks(spec: SearchSpec) -> Iterator[list[Match]]:
 def matches(spec: SearchSpec) -> list[Match]:
     """All matches of the target prefix, exhaustively, sorted, as plain records."""
     found = sorted(itertools.chain.from_iterable(_chunks(spec)))
-    # Every match has spec.alphabet_size images.
-    for a, column in enumerate(zip(*(images for _, images, _ in found))):
-        for image in set(column):
-            check_image(a, image, spec.alphabet_size)
+    # Every match has spec.alphabet_size images, so column a holds the images of a.
+    columns = enumerate(zip(*(images for _, images, _ in found)))
+    check_images(((a, image) for a, column in columns for image in set(column)), spec.alphabet_size)
     for table in {table for _, _, table in found}:
         Coding(table, max(spec.target[: spec.prefix_len]) + 1)
     return found
