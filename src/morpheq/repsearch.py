@@ -35,6 +35,15 @@ the target, below prefix_len, and drops every image of a length that fails
 before walking any.  The walk would reject each of them before its next
 symbol without an image, so no result is lost.
 
+Shared dead ends: sibling images, those of one length that force the same
+codings at a branch point, code the same target window below the prefix,
+and later copies of an image land past the first, where only such codes are
+compared.  So positions, comparisons and symbols read agree for all siblings
+until the walk reads a symbol of the first one's own image.  When a
+sibling's walk stops at a branch point where no length lands, without
+reading that far in the walk or the failing landing scans, the branch skips
+the later siblings: each would stop there too.
+
 Task split: the walk from each image of 0 to its first branch point has no
 choices, so the search splits there into one task per image that passes
 both checks; tasks that introduce more symbols tend to be larger and are
@@ -161,6 +170,7 @@ class _Searcher:
         self.max_seen = 0
         self.results: list[Match] = []
         self.nodes = 0  # _walk calls, over tasks() and every run()
+        self.reach = 0  # furthest buffer index the last _choices() read
         self._viable: dict[tuple, list[list[_Fit]]] = {}
 
     def tasks(self) -> list[_Task]:
@@ -236,12 +246,16 @@ class _Searcher:
         """The fitting images for the symbol at ptr whose length passes _lands.
 
         They are cached under the coding so far, which also fixes max_seen,
-        and the target window they land on.
+        and the target window they land on.  Sets reach to the furthest
+        buffer index a failing _lands scan read, or to len(buf) once a
+        length passes.
         """
-        lengths = [k for k in range(1, self.max_len + 1) if self._lands(k)]
-        if not lengths:
-            return []
         pos = len(self.buf)
+        reads = [self._lands(k) for k in range(1, self.max_len + 1)]
+        self.reach = max(reads)
+        if self.reach < pos:
+            return []
+        lengths = [k for k, read in enumerate(reads, 1) if read == pos]
         window = self.target[pos : pos + self.max_len]
         key = (tuple(self.coding), window)
         groups = self._viable.get(key)
@@ -249,15 +263,16 @@ class _Searcher:
             groups = self._viable[key] = self._fitting(self.max_seen, window)
         return [fit for k in lengths for fit in groups[k - 1]]
 
-    def _lands(self, k: int) -> bool:
-        """Whether an image of length k for the symbol s at ptr survives the tail.
+    def _lands(self, k: int) -> int:
+        """Where an image of length k for the symbol s at ptr fails the tail.
 
         The buffered symbols after ptr, up to the next symbol other than s
         without an image, append at offsets that only k fixes: a known image
         appends its coded image, another s a copy of the new image.  The new
         image codes the target window it first lands on, so each copy must
         meet that window again.  Only positions below the prefix count, as in
-        the walk.
+        the walk.  Returns the buffer index of the first symbol whose landing
+        fails, or len(buf) when none fails.
         """
         buf = self.buf
         coding = self.coding
@@ -267,13 +282,14 @@ class _Searcher:
         s = buf[self.ptr]
         size = len(buf)
         pos = size + k
-        for x in buf[self.ptr + 1 :]:
+        for i in range(self.ptr + 1, size):
             if pos >= N:
                 break
+            x = buf[i]
             if x == s:
                 m = min(k, N - pos)
                 if target[pos : pos + m] != target[size : size + m]:
-                    return False
+                    return i
                 pos += k
                 continue
             image = images[x]
@@ -281,11 +297,11 @@ class _Searcher:
                 break
             for y in image:
                 if coding[y] != target[pos]:
-                    return False
+                    return i
                 pos += 1
                 if pos == N:
                     break
-        return True
+        return size
 
     def _walk(self) -> bool:
         """Consume symbols whose image is chosen, matching what they append.
@@ -320,7 +336,8 @@ class _Searcher:
         return False
 
     def _branch(self, fits: list[_Fit]) -> None:
-        """Give the symbol at ptr each fitting image in turn and search below."""
+        """Give the symbol at ptr each fitting image in turn and search below,
+        skipping the siblings of an image whose walk met a shared dead end."""
         buf = self.buf
         coding = self.coding
         images = self.images
@@ -328,7 +345,11 @@ class _Searcher:
         ptr = self.ptr
         size = len(buf)
         seen = self.max_seen
+        dead = set()
         for image, fresh, top in fits:
+            key = (len(image), fresh)
+            if key in dead:
+                continue
             images[s] = image
             buf.extend(image)
             for x, c in fresh:
@@ -336,7 +357,11 @@ class _Searcher:
             self.ptr = ptr + 1
             self.max_seen = top
             if self._walk():
-                self._branch(self._choices())
+                choices = self._choices()
+                if choices:
+                    self._branch(choices)
+                elif self.reach < size:
+                    dead.add(key)
             del buf[size:]
             for x, _ in fresh:
                 coding[x] = None

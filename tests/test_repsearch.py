@@ -6,7 +6,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from morpheq import repsearch
@@ -272,12 +272,17 @@ class TestPoolRule:
         assert results_at_each_pool_nodes(spec) == [search(spec)] * 3
 
     @pytest.mark.parametrize(
-        "name, nodes", [("even-fib", 5319), ("odd-fib", 6585), ("spir", 2935), ("fib", 37828)]
+        "name, nodes", [("even-fib", 1854), ("odd-fib", 3056), ("spir", 1570), ("fib", 34711)]
     )
     def test_walk_node_counts_are_pinned(self, name, nodes):
         """At alphabet 5, image length 3 and prefix 60: pruning that changes
         shows here even when the result lists still agree."""
         assert full_walk(builtin_prefix(name, 60), 5, 3).nodes == nodes
+
+    def test_shared_dead_ends_cut_the_walk_at_the_guard_edge(self):
+        """even-fib at alphabet 6 walked 199,632 nodes before dead ends were
+        shared between sibling images."""
+        assert full_walk(builtin_prefix("even-fib", 60), 6, 3).nodes <= 30_000
 
 
 def recording_pool(started):
@@ -309,26 +314,30 @@ def walked_prefixes(n, max_len, prefix_len):
     """(images, prefix) for every morphism over n symbols that a search may report.
 
     Grows the fixed point at 0 by consuming its own symbols until it holds
-    prefix_len symbols; every symbol must be consumed on the way, and
-    symbols must first appear in increasing order.  Nothing here depends on
-    the target, so the list is built once for each shape.
+    prefix_len symbols, trying every image of up to max_len symbols for each
+    symbol as it is first consumed; every symbol must be consumed on the
+    way, and symbols must first appear in increasing order.  Nothing here
+    depends on the target, so the list is built once for each shape.
     """
     words = [w for k in range(1, max_len + 1) for w in itertools.product(range(n), repeat=k)]
     out = []
-    for images in itertools.product(words, repeat=n):
-        root = images[0]
-        if root[0] != 0 or len(root) < 2:
-            continue
-        buf = list(root)
-        consumed = {0}
-        ptr = 1
+
+    def grow(images, buf, ptr):
         while len(buf) < prefix_len:
-            consumed.add(buf[ptr])
-            buf.extend(images[buf[ptr]])
+            x = buf[ptr]
+            if images[x] is None:
+                for image in words:
+                    grow(images[:x] + (image,) + images[x + 1 :], buf + image, ptr + 1)
+                return
+            buf += images[x]
             ptr += 1
-        prefix = tuple(buf[:prefix_len])
-        if len(consumed) == n and list(dict.fromkeys(prefix)) == list(range(n)):
+        prefix = buf[:prefix_len]
+        if None not in images and list(dict.fromkeys(prefix)) == list(range(n)):
             out.append((images, prefix))
+
+    for root in words:
+        if root[0] == 0 and len(root) > 1:
+            grow((root,) + (None,) * (n - 1), root, 1)
     return out
 
 
@@ -399,6 +408,29 @@ class TestAgainstBruteForce:
         f = Morphism(((0, *images[0]), tuple(images[1]), tuple(images[2])))
         target = FixedPoint(f).prefix(prefix_len)
         agrees_with_brute_force(target, 3, 3, prefix_len, jobs=(1,))
+
+    # Binary codings of fixed points over five symbols, searched with images
+    # of up to two symbols.  Sibling images, of one length and forcing the
+    # same codings, then code one target window with different symbols, so
+    # a dead end that one of them meets is shared with the rest (see the
+    # repsearch docstring).  Each prefix ends inside an image of the fixed
+    # point it is cut from.
+    @settings(max_examples=6, deadline=None)
+    @given(
+        root=st.lists(st.integers(0, 4), min_size=1, max_size=1),
+        images=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=2), min_size=4, max_size=4),
+        coding=st.lists(st.integers(0, 1), min_size=5, max_size=5),
+        prefix_len=st.sampled_from([10, 11]),
+    )
+    @example(root=[2], images=[[4], [0, 4], [4], [2]], coding=[1, 1, 0, 1, 1], prefix_len=10)
+    @example(root=[2], images=[[4, 3], [4, 0], [1, 3], [1, 2]], coding=[1, 0, 1, 0, 0], prefix_len=11)
+    def test_coded_fixed_points_of_five_symbols(self, root, images, coding, prefix_len):
+        f = Morphism(((0, *root), *map(tuple, images)))
+        prefix = FixedPoint(f).prefix(prefix_len)
+        # The fixed point is f(x_0) f(x_1) ... over its own symbols x_i.
+        assume(prefix_len not in set(itertools.accumulate(len(f.images[x]) for x in prefix)))
+        target = tuple(coding[x] for x in prefix)
+        agrees_with_brute_force(target, 5, 2, prefix_len, jobs=(1,))
 
     # The examples above run in process, so that a wrong search fails them
     # fast; these run the same kind of target over a pool.
