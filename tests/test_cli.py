@@ -165,6 +165,27 @@ class TestProve:
         assert result.stdout == f"gave up: {out}: pairs expand more than {1 << 22} symbols\n"
         assert seconds < 1
 
+    def test_long_images_prove_in_time_linear_in_the_file(self, tmp_path):
+        # f = g = 0 -> 0 1^99999, 1 -> 1^100000, coded 01: a 400 KB file.  At
+        # the largest --max-pair-len, the table's two pairs decompose at
+        # 2 * 10^5 cuts of one symbol each; reading max_pair_len symbols at
+        # every cut took over a minute.
+        side = "2\n0" + "1" * 99999 + "\n" + "1" * 100000 + "\n01\n"
+        problem = tmp_path / "long.txt"
+        problem.write_text(side * 2)
+        start = perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "morpheq.cli", "prove", str(problem), "--max-pair-len", str(MAX_PAIR_LEN)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        seconds = perf_counter() - start
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.endswith("Induction step proved, hence claim proved.\n")
+        assert seconds < 8
+
 
 class TestCheck:
     def test_accepts_generated_certificate(self, capsys, golden_dir):

@@ -126,6 +126,33 @@ class TestDeriveTable:
         assert exc.value.stage is FailureStage.PAIR_BUDGET_EXCEEDED
         assert exc.value.detail == "more than 1 safe pairs needed"
 
+    def test_doubling_reads_close_the_same_tables(self, monkeypatch):
+        """Read 1, 2, 4, ... symbols at each cut: cuts past the first read are found."""
+        monkeypatch.setattr(prover, "POWER_BYTES", 1)
+        self.test_two_pair_closure()
+        self.test_closure_reuses_existing_pairs()
+        self.test_coding_mismatch_aborts()
+
+    def test_a_cut_reads_few_symbols(self, monkeypatch):
+        """At max_pair_len 10^5, each cut of one symbol slices at most POWER_BYTES."""
+        sliced = []
+        safe_cut = prover._smallest_safe_cut
+
+        def recording_cut(read, *args):
+            def recorded(size):
+                words = read(size)
+                sliced.append(len(words[0]))
+                return words
+
+            return safe_cut(recorded, *args)
+
+        monkeypatch.setattr(prover, "_smallest_safe_cut", recording_cut)
+        f = Morphism.from_strings("0" + "1" * 999, "1" * 1000)
+        table = derive_table(f, Coding.identity(2), f, Coding.identity(2), ProverConfig(max_pair_len=MAX_PAIR_LEN))
+        assert table.pairs == (((0,), (0,)), ((1,), (1,)))
+        # The initial pair and 2000 cuts.
+        assert sum(sliced) <= POWER_BYTES * 2001
+
 
 class TestProveGeneral:
     def test_scales_then_closes(self):
