@@ -33,7 +33,14 @@ def arith_prefix(rep: MorphicRep, start: int, step: int, count: int) -> Word:
         raise ValueError("need start >= 0 and step >= 1")
     if not 0 <= count <= MAX_COUNT:
         raise ValueError(f"count is {count}; it must be between 0 and {MAX_COUNT}")
-    return rep.prefix(start + step * count)[start::step]
+    # Each coded piece is sliced from the next position wanted, so only the
+    # selected symbols are kept.
+    out = bytearray()
+    pos = 0
+    for piece in rep.pieces(start + step * count):
+        out += piece[start + step * len(out) - pos :: step]
+        pos += len(piece)
+    return tuple(out)
 
 
 def odd_length_power(f: Morphism) -> int | None:

@@ -459,11 +459,15 @@ class MorphicRep:
         table = self.coding.table
         return bytes(table) + bytes(ALPHABET_LIMIT - len(table))
 
+    def pieces(self, n: int) -> Iterator[bytes]:
+        """The first n symbols of the coded sequence, as consecutive pieces of bytes."""
+        return self.fixed_point()._coded(self._table(), n)
+
     def prefix(self, n: int) -> Word:
         """First n symbols of the coded sequence."""
         if n < 0:
             raise ValueError("prefix length must be non-negative")
-        return tuple(b"".join(self.fixed_point()._coded(self._table(), n)))
+        return tuple(b"".join(self.pieces(n)))
 
 
 def first_mismatch(left: MorphicRep, right: MorphicRep, n: int) -> tuple[int, int, int] | None:
@@ -480,8 +484,8 @@ def first_mismatch(left: MorphicRep, right: MorphicRep, n: int) -> tuple[int, in
         raise ValueError("prefix length must be non-negative")
     if n > MAX_PREFIX:
         raise ValueError(f"{n} symbols asked for; at most {MAX_PREFIX} symbols can be compared")
-    left_pieces = left.fixed_point()._coded(left._table(), n)
-    right_pieces = right.fixed_point()._coded(right._table(), n)
+    left_pieces = left.pieces(n)
+    right_pieces = right.pieces(n)
     # The current piece of each side, the offset compared up to in each, and
     # the position of those offsets in the sequences.  b is a memoryview, so
     # a.startswith compares against a slice of it without copying.

@@ -1,5 +1,10 @@
 """Arithmetic subsequences, odd-length powers, and block encodings."""
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -19,7 +24,7 @@ from morpheq.subseq import (
     block_encode,
     odd_length_power,
 )
-from morpheq.words import MAX_PREFIX, Coding, Morphism, MorphicRep, format_word, parse_word
+from morpheq.words import CHUNK, MAX_PREFIX, Coding, Morphism, MorphicRep, format_word, parse_word
 
 FIB = Morphism.from_strings("01", "0")
 
@@ -52,6 +57,35 @@ class TestArithPrefix:
 
     def test_zero_count(self):
         assert arith_prefix(fib_rep(), 0, 2, 0) == ()
+
+    @pytest.mark.parametrize("start", [0, 5])
+    @pytest.mark.parametrize("step", [1, 7, CHUNK - 1, CHUNK + 1])
+    def test_steps_across_coded_pieces(self, start, step):
+        """Steps shorter and longer than the pieces the coded stream is read in."""
+        rep = spir_rep()
+        count = 4 * CHUNK // step
+        assert arith_prefix(rep, start, step, count) == rep.prefix(start + step * count)[start::step]
+
+    def test_keeps_only_the_selected_symbols(self):
+        """10^6 symbols at step 100 read 10^8 coded symbols.  A child process
+        with 512 MiB of address space selects them, where a tuple of all the
+        symbols read would not fit."""
+        code = (
+            "import hashlib\n"
+            "from morpheq.catalog import fib_rep\n"
+            "from morpheq.subseq import arith_prefix\n"
+            "print(hashlib.sha256(bytes(arith_prefix(fib_rep(), 0, 100, 10**6))).hexdigest())\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29)),
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        # Recorded from the tuple of all 10^8 symbols, sliced.
+        assert result.stdout == "feec176e20fef92381e1ab42021b98c97106bf9eb4c26f7d39c8bd8781968276\n"
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
