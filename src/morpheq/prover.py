@@ -169,23 +169,22 @@ def _show(w: Word) -> str:
         return ",".join(str(s) for s in w)
 
 
-def _smallest_safe_cut(read, flen_of: tuple[int, ...], glen_of: tuple[int, ...], max_len: int):
-    """The shortest equal-length prefixes (u, v) of the words read(size)
-    returns, at most max_len long, with |f(u)| = |g(v)|, or None.
+def _read_sizes(max_len: int) -> list[int]:
+    """Read sizes that double from POWER_BYTES symbols up to max_len."""
+    sizes = [min(max_len, POWER_BYTES)]
+    while sizes[-1] < max_len:
+        sizes.append(min(max_len, 2 * sizes[-1]))
+    return sizes
 
-    Reads prefixes that double from POWER_BYTES symbols up to max_len, and
-    stops at the first that holds a safe cut.
-    """
-    size = 0
-    while size < max_len:
-        size = min(max_len, max(2 * size, POWER_BYTES))
-        fw, gw = read(size)
-        flen = glen = 0
-        for m, (x, y) in enumerate(zip(fw, gw), 1):
-            flen += flen_of[x]
-            glen += glen_of[y]
-            if flen == glen:
-                return fw[:m], gw[:m]
+
+def _smallest_safe_cut(fw, gw, flen_of: tuple[int, ...], glen_of: tuple[int, ...]) -> int | None:
+    """Smallest m with |f(fw[:m])| = |g(gw[:m])|, or None; reads fw and gw no further."""
+    flen = glen = 0
+    for m, (x, y) in enumerate(zip(fw, gw), 1):
+        flen += flen_of[x]
+        glen += glen_of[y]
+        if flen == glen:
+            return m
     return None
 
 
@@ -194,16 +193,18 @@ def find_initial_safe_pair(
 ) -> tuple[Word, Word]:
     """Smallest equal-length prefixes of the two fixed points forming a safe pair.
 
-    max_len must lie in 1..MAX_PAIR_LEN, as in ProverConfig.
+    Reads prefixes of each fixed point that double from POWER_BYTES symbols
+    up to max_len, and stops at the first that holds a safe cut; max_len
+    must lie in 1..MAX_PAIR_LEN, as in ProverConfig.
     """
     _check_pair_len(max_len)
     fp, gp = FixedPoint(f), FixedPoint(g)
-    cut = _smallest_safe_cut(
-        lambda size: (fp.prefix(size), gp.prefix(size)), f.image_lengths(), g.image_lengths(), max_len
-    )
-    if cut is None:
-        raise ProveFailure(FailureStage.NO_INITIAL_SAFE_PAIR, f"no safe prefix pair up to length {max_len}")
-    return cut
+    for size in _read_sizes(max_len):
+        fw, gw = fp.prefix(size), gp.prefix(size)
+        cut = _smallest_safe_cut(fw, gw, f.image_lengths(), g.image_lengths())
+        if cut is not None:
+            return fw[:cut], gw[:cut]
+    raise ProveFailure(FailureStage.NO_INITIAL_SAFE_PAIR, f"no safe prefix pair up to length {max_len}")
 
 
 def derive_table(
@@ -221,6 +222,9 @@ def derive_table(
     """
     flen_of = f.image_lengths()
     glen_of = g.image_lengths()
+    # Each cut reads windows of these sizes in turn, so that a short cut
+    # reads few symbols at any max_pair_len.
+    sizes = _read_sizes(config.max_pair_len)
 
     pairs: list[tuple[Word, Word]] = []
     index: dict[tuple[Word, Word], int] = {}
@@ -262,16 +266,17 @@ def derive_table(
         pos = 0
         total = len(fu)
         while pos < total:
-            cut = _smallest_safe_cut(
-                lambda size: (fu[pos : pos + size], gv[pos : pos + size]), flen_of, glen_of, config.max_pair_len
-            )
+            for size in sizes:
+                cut = _smallest_safe_cut(fu[pos : pos + size], gv[pos : pos + size], flen_of, glen_of)
+                if cut is not None:
+                    break
             if cut is None:
                 raise ProveFailure(
                     FailureStage.DECOMPOSITION_STUCK,
                     f"no safe pair at offset {pos} while decomposing pair {i}",
                 )
-            w.append(intern(*cut))
-            pos += len(cut[0])
+            w.append(intern(fu[pos : pos + cut], gv[pos : pos + cut]))
+            pos += cut
         decompositions.append(tuple(w))
         i += 1
     return SafePairTable(tuple(pairs), tuple(decompositions))

@@ -134,24 +134,17 @@ class TestDeriveTable:
         self.test_coding_mismatch_aborts()
 
     def test_a_cut_reads_few_symbols(self, monkeypatch):
-        """At max_pair_len 10^5, each cut of one symbol slices at most POWER_BYTES."""
-        sliced = []
+        """At max_pair_len 10^5, each cut of one symbol reads at most POWER_BYTES."""
+        read = []
         safe_cut = prover._smallest_safe_cut
-
-        def recording_cut(read, *args):
-            def recorded(size):
-                words = read(size)
-                sliced.append(len(words[0]))
-                return words
-
-            return safe_cut(recorded, *args)
-
-        monkeypatch.setattr(prover, "_smallest_safe_cut", recording_cut)
+        monkeypatch.setattr(
+            prover, "_smallest_safe_cut", lambda fw, *args: read.append(len(fw)) or safe_cut(fw, *args)
+        )
         f = Morphism.from_strings("0" + "1" * 999, "1" * 1000)
         table = derive_table(f, Coding.identity(2), f, Coding.identity(2), ProverConfig(max_pair_len=MAX_PAIR_LEN))
         assert table.pairs == (((0,), (0,)), ((1,), (1,)))
         # The initial pair and 2000 cuts.
-        assert sum(sliced) <= POWER_BYTES * 2001
+        assert sum(read) <= POWER_BYTES * 2001
 
 
 class TestProveGeneral:
