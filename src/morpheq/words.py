@@ -23,8 +23,8 @@ the buffer over at its image of 0.  A step over symbols
 whose images all have length 1, as in an eventually periodic tail, is one
 bytes.translate, run on up to the next symbol with a longer image.
 
-MorphicRep.prefix and first_mismatch read a coded prefix as a stream of
-pieces: with F the power in use, the coding of the fixed point is
+MorphicRep.pieces, and through it MorphicRep.prefix and first_mismatch,
+read a coded prefix as a stream of pieces: with F the power in use, the coding of the fixed point is
 tau F(x_0) tau F(x_1) ..., joined from F's images coded once by the same
 steps that grow the buffer.  The buffer then holds only the symbols x_j
 being coded: about n / L of them for images of average length L, so the

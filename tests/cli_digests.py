@@ -47,7 +47,8 @@ COMMANDS = [
     ["search", "--target", "even-fib", "--alphabet", "5", "--maxlen", "3", "--prefix", "60"],
     ["search", "--target", "spir", "--alphabet", "5", "--maxlen", "3", "--prefix", "60"],
     # The edge of the search guards.
-    *(["search", "--target", b, "--alphabet", "6", "--maxlen", "3", "--prefix", "60"] for b in ("even-fib", "spir")),
+    *(["search", "--target", b, "--alphabet", "6", "--maxlen", "3", "--prefix", "60"]
+      for b in ("even-fib", "spir")),
     # 21174 results; at two jobs the pool runs.
     *(["search", "--target", "fib", "--alphabet", "5", "--maxlen", "3", "--prefix", "60", "--jobs", j]
       for j in ("1", "2")),

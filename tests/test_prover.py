@@ -141,7 +141,8 @@ class TestDeriveTable:
             prover, "_smallest_safe_cut", lambda fw, *args: read.append(len(fw)) or safe_cut(fw, *args)
         )
         f = Morphism.from_strings("0" + "1" * 999, "1" * 1000)
-        table = derive_table(f, Coding.identity(2), f, Coding.identity(2), ProverConfig(max_pair_len=MAX_PAIR_LEN))
+        config = ProverConfig(max_pair_len=MAX_PAIR_LEN)
+        table = derive_table(f, Coding.identity(2), f, Coding.identity(2), config)
         assert table.pairs == (((0,), (0,)), ((1,), (1,)))
         # The initial pair and 2000 cuts.
         assert sum(read) <= POWER_BYTES * 2001

@@ -417,15 +417,15 @@ class TestAgainstBruteForce:
     # point it is cut from.
     @settings(max_examples=6, deadline=None)
     @given(
-        root=st.lists(st.integers(0, 4), min_size=1, max_size=1),
+        root=st.integers(0, 4),
         images=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=2), min_size=4, max_size=4),
         coding=st.lists(st.integers(0, 1), min_size=5, max_size=5),
         prefix_len=st.sampled_from([10, 11]),
     )
-    @example(root=[2], images=[[4], [0, 4], [4], [2]], coding=[1, 1, 0, 1, 1], prefix_len=10)
-    @example(root=[2], images=[[4, 3], [4, 0], [1, 3], [1, 2]], coding=[1, 0, 1, 0, 0], prefix_len=11)
+    @example(root=2, images=[[4], [0, 4], [4], [2]], coding=[1, 1, 0, 1, 1], prefix_len=10)
+    @example(root=2, images=[[4, 3], [4, 0], [1, 3], [1, 2]], coding=[1, 0, 1, 0, 0], prefix_len=11)
     def test_coded_fixed_points_of_five_symbols(self, root, images, coding, prefix_len):
-        f = Morphism(((0, *root), *map(tuple, images)))
+        f = Morphism(((0, root), *map(tuple, images)))
         prefix = FixedPoint(f).prefix(prefix_len)
         # The fixed point is f(x_0) f(x_1) ... over its own symbols x_i.
         assume(prefix_len not in set(itertools.accumulate(len(f.images[x]) for x in prefix)))
