@@ -27,6 +27,10 @@ RECORD = FIXTURES / "golden" / "cli_digests.json"
 
 PROBLEMS = sorted(path.name for path in FIXTURES.glob("*.txt"))
 CERTIFICATES = sorted(f"golden/{path.name}" for path in (FIXTURES / "golden").glob("*.proof"))
+# Certificates that check rejects. Between them they reach every violation
+# condition a parsed certificate can, with several conditions in one pair
+# and violations in several pairs, so the order of the lines is pinned.
+TAMPERED = sorted(path.name for path in FIXTURES.glob("tampered_*.proof"))
 REPS = ["fib_rep.txt", "thue_morse_rep.txt", "eleven_blocks_rep.txt"]
 BUILTINS = ["fib", "even-fib", "odd-fib", "spir"]
 SAVED = "saved.proof"
@@ -40,6 +44,7 @@ COMMANDS = [
     *(["prove", name, "--max-pair-len", n] for name in PROBLEMS for n in ("1", "100000")),
     *(["prove", name, "--save-proof", SAVED] for name in PROBLEMS),
     *(["check", name] for name in CERTIFICATES),
+    *(["check", name] for name in TAMPERED),
     *(["verify-prefix", name, "--n", n] for name in PROBLEMS for n in ("1", "1000", "100000")),
     *(["subseq", "--builtin", b, "--op", op, "--n", "100"] for b in BUILTINS for op in ("even", "odd")),
     *(["subseq", "--encode-blocks", name] for name in REPS),
