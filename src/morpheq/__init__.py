@@ -7,11 +7,12 @@ table, renders the resulting human-readable proof, checks certificates
 independently, and searches for small representations of a target sequence.
 
 The package root holds only the names of README's example; everything else
-is imported from its module (morpheq.words, morpheq.prover, ...).
+is imported from its module (morpheq.words, morpheq.certificate, ...).
 """
 
+from .certificate import check_proof
 from .formats import parse_problem
-from .proofdoc import check_proof, render_latex
+from .proofdoc import render_latex
 from .prover import prove_general
 
 __version__ = "0.1.0"

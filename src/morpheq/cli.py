@@ -18,10 +18,11 @@ import functools
 import sys
 
 from . import catalog
+from .certificate import check_proof
 from .formats import (
     MAX_CODEC_ALPHABET, parse_problem, parse_proof, parse_rep, serialize_proof, serialize_rep
 )
-from .proofdoc import check_proof, render_latex, render_text
+from .proofdoc import render_latex, render_text
 from .prover import MAX_PAIR_LEN, ProveFailure, ProverConfig, prove_basic, prove_general
 from .repsearch import MAX_ALPHABET, MAX_IMAGE_LEN, POOL_NODES, SearchSpec, matches
 from .subseq import MAX_COUNT, MAX_ODD_POWER, arith_prefix, block_encode, odd_length_power

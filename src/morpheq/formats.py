@@ -24,7 +24,7 @@ takes, such as superscripts, are rejected with their line number.
 
 from __future__ import annotations
 
-from .prover import EqualityProblem, Proof, ProofMode, SafePairTable
+from .certificate import EqualityProblem, Proof, ProofMode, SafePairTable
 from .words import Coding, Morphism, Word, format_word, is_digits, parse_word
 
 

@@ -1,11 +1,6 @@
 """Constructing simultaneous-induction proofs that two coded fixed points agree.
 
-The certificate is a table of safe pairs (u_i, v_i): equal-length words whose
-images under the two (already power-equalized) morphisms also have equal
-length.  If the coded words tau(u_i) and rho(v_i) agree, both images decompose
-into table entries along a shared index word w_i, and u_0, v_0 start the two
-fixed points, then tau(f^oo(0)) = rho(g^oo(0)) follows by induction on n from
-the claims tau(f^n(u_i)) = rho(g^n(v_i)).
+morpheq.certificate defines the certificate, a safe-pair table, and when it holds.
 
 Two constructions are provided.  The general one greedily closes the table:
 scan f(u_i) against g(v_i) left to right, at each cut take the smallest safe
@@ -21,22 +16,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import ClassVar
 
+from .certificate import EqualityProblem, Proof, ProofMode, SafePairTable
 from .scaling import DEFAULT_TOLERANCE, equalize
-from .words import (
-    EXPAND_BUDGET,
-    POWER_BYTES,
-    Coding,
-    FixedPoint,
-    Morphism,
-    NotProlongableError,
-    Word,
-    format_word,
-    prune_unreachable,
-)
+from .words import EXPAND_BUDGET, POWER_BYTES, Coding, FixedPoint, Morphism, Word, format_word, prune_unreachable
 
 
 class FailureStage(enum.Enum):
@@ -54,11 +39,6 @@ class ProveFailure(Exception):
         super().__init__(f"{stage.value}: {detail}")
         self.stage = stage
         self.detail = detail
-
-
-class ProofMode(enum.Enum):
-    GENERAL = "general"
-    BASIC = "basic"
 
 
 # Longest safe pair the prover considers.  Looking for one reads up to this
@@ -87,79 +67,6 @@ class ProverConfig:
 
     def __post_init__(self):
         _check_pair_len(self.max_pair_len)
-
-
-@dataclass(frozen=True)
-class EqualityProblem:
-    """Are tau(f^oo(0)) and rho(g^oo(0)) the same sequence?"""
-
-    f: Morphism
-    tau: Coding
-    g: Morphism
-    rho: Coding
-
-    def __post_init__(self):
-        if self.tau.source_size != self.f.alphabet_size:
-            raise ValueError("tau does not cover f's alphabet")
-        if self.rho.source_size != self.g.alphabet_size:
-            raise ValueError("rho does not cover g's alphabet")
-        for name, m in (("f", self.f), ("g", self.g)):
-            if not m.is_prolongable():
-                raise NotProlongableError(
-                    f"{name}(0) must start with 0 and have length >= 2"
-                )
-
-
-@dataclass(frozen=True)
-class SafePairTable:
-    """Safe pairs plus, per pair, the index word decomposing both images."""
-
-    pairs: tuple[tuple[Word, Word], ...]
-    decompositions: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "pairs", tuple((tuple(u), tuple(v)) for u, v in self.pairs)
-        )
-        object.__setattr__(
-            self, "decompositions", tuple(tuple(w) for w in self.decompositions)
-        )
-        if len(self.pairs) == 0:
-            raise ValueError("table needs at least one pair")
-        if len(self.pairs) != len(self.decompositions):
-            raise ValueError("each pair needs exactly one decomposition")
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class Proof:
-    """A checkable equality certificate for problem, at exponents (p, q).
-
-    The table speaks about f^p and g^q; those are computed from the stored
-    problem on first use and never serialized, so they cannot drift out of sync.
-    """
-
-    problem: EqualityProblem
-    p: int
-    q: int
-    table: SafePairTable
-    mode: ProofMode = ProofMode.GENERAL
-
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError("exponents must be at least 1")
-
-    @cached_property
-    def scaled_f(self) -> Morphism:
-        return self.problem.f.power(self.p)
-
-    @cached_property
-    def scaled_g(self) -> Morphism:
-        if (self.problem.g, self.q) == (self.problem.f, self.p):
-            return self.scaled_f
-        return self.problem.g.power(self.q)
 
 
 def _show(w: Word) -> str:

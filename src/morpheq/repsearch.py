@@ -58,8 +58,8 @@ A result is reported only when every image was consumed while deriving the
 prefix, i.e. when the match leaves no free choice open.  The walk records it
 as a (complexity, images, coding table) tuple, complexity being the total
 image length.  matches() sorts those in tuple order and checks each distinct
-image and table once, as Morphism and Coding would.  search() builds
-FoundReps from each task's records as they arrive, overlapping a pool's walk.
+image and table once, as Morphism and Coding would.  search() builds a
+FoundRep from each of those records, in their order.
 """
 
 from __future__ import annotations
@@ -412,13 +412,9 @@ def matches(spec: SearchSpec) -> list[Match]:
 
 
 def search(spec: SearchSpec) -> list[FoundRep]:
-    """All representations matching the target prefix, exhaustively."""
-    target_size = max(spec.target[: spec.prefix_len]) + 1
-    coding = functools.cache(lambda table: Coding(table, target_size))
-    records = itertools.chain.from_iterable(_chunks(spec))
-    found = [FoundRep(Morphism(images), coding(table), size) for size, images, table in records]
-    found.sort(key=lambda r: (r.complexity, r.morphism.images, r.coding.table))
-    return found
+    """All representations matching the target prefix, exhaustively, in the order of matches."""
+    coding = functools.cache(lambda table: Coding(table, max(spec.target[: spec.prefix_len]) + 1))
+    return [FoundRep(Morphism(images), coding(table), size) for size, images, table in matches(spec)]
 
 
 def canonical_form(f: Morphism, coding: Coding) -> tuple[Morphism, Coding]:

@@ -15,13 +15,12 @@ import pytest
 
 import test_properties as property_suites
 from morpheq.catalog import builtin_prefix, even_fib_rep, odd_fib_rep
+from morpheq.certificate import EqualityProblem, ProofMode, check_proof
 from morpheq.cli import main
 from morpheq.formats import parse_problem
-from morpheq.proofdoc import check_proof, render_latex
+from morpheq.proofdoc import render_latex
 from morpheq.prover import (
-    EqualityProblem,
     FailureStage,
-    ProofMode,
     ProveFailure,
     prove_basic,
     prove_general,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from morpheq.certificate import ProofMode
 from morpheq.formats import (
     ParseError,
     parse_problem,
@@ -10,7 +11,7 @@ from morpheq.formats import (
     serialize_problem,
     serialize_proof,
 )
-from morpheq.prover import ProofMode, prove_general
+from morpheq.prover import prove_general
 from morpheq.words import Coding, Morphism
 
 from conftest import read_fixture

@@ -1,14 +1,17 @@
 """Proof checking and rendering against frozen golden documents."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
-from morpheq import proofdoc
+from morpheq import certificate
+from morpheq.certificate import Proof, SafePairTable, check_proof
 from morpheq.formats import parse_problem, parse_proof
-from morpheq.proofdoc import check_proof, render_latex, render_text
-from morpheq.prover import Proof, SafePairTable, prove_general
+from morpheq.proofdoc import render_latex, render_text
+from morpheq.prover import prove_general
 from morpheq.words import Morphism, parse_word
 
 from conftest import FIB_CERTIFICATE_P34, read_fixture
@@ -121,11 +124,27 @@ class TestChecker:
     @pytest.mark.parametrize("budget, violations", [(16, []), (15, [("budget", 1)]), (4, [("budget", 0)])])
     def test_reports_expansion_over_budget(self, monkeypatch, budget, violations):
         # The four obligations of this proof expand 5, 5, 3 and 3 symbols.
-        monkeypatch.setattr(proofdoc, "EXPAND_BUDGET", budget)
+        monkeypatch.setattr(certificate, "EXPAND_BUDGET", budget)
         report = check_proof(proof_for("fib_three_letter.txt"))
         assert [(v.condition, v.pair) for v in report.violations] == violations
         if violations:
             assert report.violations[0].detail == f"decompositions expand more than {budget} symbols"
+
+
+def test_certificate_imports_nothing_of_morpheq_but_words():
+    """The checker stays independent of the prover: its module imports only words."""
+    tree = ast.parse(Path(certificate.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            # Both "from .x import y" and "from . import x" import the module morpheq.x.
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            modules.update(f"morpheq.{name}" for name in names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    assert {m for m in modules if m.split(".")[0] == "morpheq"} == {"morpheq.words"}
 
 
 class TestRenderers:
@@ -166,7 +185,8 @@ class TestRenderers:
         assert "Replace g by g^3" in scaled
 
     def test_single_property_wording(self):
-        from morpheq.prover import EqualityProblem, prove_general as pg
+        from morpheq.certificate import EqualityProblem
+        from morpheq.prover import prove_general as pg
         from morpheq.words import Coding, Morphism
 
         f = Morphism.from_strings("00")

@@ -12,15 +12,9 @@ from itertools import islice
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from morpheq.certificate import EqualityProblem, Proof, SafePairTable, check_proof
 from morpheq.formats import parse_problem
-from morpheq.proofdoc import check_proof
-from morpheq.prover import (
-    EqualityProblem,
-    Proof,
-    ProveFailure,
-    SafePairTable,
-    prove_general,
-)
+from morpheq.prover import ProveFailure, prove_general
 from morpheq.repsearch import canonical_form
 from morpheq.spectral import incidence_matrix
 from morpheq.subseq import arith_prefix, block_encode

@@ -4,17 +4,14 @@ from time import perf_counter
 
 import pytest
 
-from morpheq import proofdoc, prover
+from morpheq import certificate, prover
+from morpheq.certificate import EqualityProblem, ProofMode, SafePairTable, check_proof
 from morpheq.formats import parse_problem
-from morpheq.proofdoc import check_proof
 from morpheq.prover import (
     MAX_PAIR_LEN,
-    EqualityProblem,
     FailureStage,
-    ProofMode,
     ProveFailure,
     ProverConfig,
-    SafePairTable,
     derive_table,
     find_initial_safe_pair,
     prove_basic,
@@ -300,7 +297,7 @@ class TestExpandBudget:
     ], ids=["general", "basic"])
     def test_prover_and_checker_agree_at_the_budget(self, monkeypatch, name, prove, stage):
         def set_budget(budget):
-            monkeypatch.setattr(proofdoc, "EXPAND_BUDGET", budget)
+            monkeypatch.setattr(certificate, "EXPAND_BUDGET", budget)
             monkeypatch.setattr(prover, "EXPAND_BUDGET", budget)
 
         problem = parse_problem(read_fixture(name))
