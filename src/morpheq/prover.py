@@ -7,9 +7,11 @@ scan f(u_i) against g(v_i) left to right, at each cut take the smallest safe
 pair, reuse or append it, and record its index; there is no backtracking, and
 the first coding violation aborts the attempt.  The basic one tries the fixed
 shape v_i = w_i = g(i) with u_i cut out of f's fixed point at the position
-where symbol i first occurs in g's fixed point.  Both give up before their
-table makes check_proof expand more than words.EXPAND_BUDGET symbols: the
-general one as pair-budget-exceeded, the basic one as decomposition-stuck.
+where symbol i first occurs in g's fixed point.  The general one gives up
+as pair-budget-exceeded before its table makes check_proof expand more than
+words.EXPAND_BUDGET symbols.  The basic one gives up where check_proof
+rejects its table, at the lowest pair rejected: as coding-mismatch if the
+coded words differ, otherwise as decomposition-stuck.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import ClassVar
 
-from .certificate import EqualityProblem, Proof, ProofMode, SafePairTable
+from .certificate import EqualityProblem, Proof, ProofMode, SafePairTable, check_proof
 from .scaling import DEFAULT_TOLERANCE, equalize
 from .words import EXPAND_BUDGET, POWER_BYTES, Coding, FixedPoint, Morphism, Word, format_word, prune_unreachable
 
@@ -254,32 +256,22 @@ def prove_basic(
             )
         us.append(seq_f.factor(start, end))
 
-    flen = fp.image_lengths()
-    expanded = 0
-    for i in range(n):
-        u = us[i]
-        v = gq.images[i]
-        if norm.tau.apply(u) != norm.rho.apply(v):
-            raise ProveFailure(
-                FailureStage.CODING_MISMATCH,
-                f"coded words differ on pair ({_show(u)}, {_show(v)}) for symbol {i}",
-            )
-        # check_proof expands |f(u)| + |g(v)|, and |f(u)| must equal |g(v)|.
-        size = sum(glen[s] for s in v)
-        expanded += 2 * size
-        if expanded > EXPAND_BUDGET:
-            raise ProveFailure(
-                FailureStage.DECOMPOSITION_STUCK,
-                f"pairs expand more than {EXPAND_BUDGET} symbols",
-            )
-        if sum(flen[s] for s in u) != size or fp.apply(u) != tuple(s for a in v for s in us[a]):
-            raise ProveFailure(
-                FailureStage.DECOMPOSITION_STUCK,
-                f"f-image of {_show(u)} does not decompose along g({i}) = {_show(v)}",
-            )
-
-    table = SafePairTable(
-        tuple((us[i], gq.images[i]) for i in range(n)),
-        tuple(gq.images[i] for i in range(n)),
-    )
-    return Proof(norm, p, q, table, ProofMode.BASIC)
+    table = SafePairTable(tuple(zip(us, gq.images)), gq.images)
+    proof = Proof(norm, p, q, table, ProofMode.BASIC)
+    violations = check_proof(proof).violations
+    if not violations:
+        return proof
+    # Give up at the lowest pair the checker rejects, for its first reason.
+    i = min(bad.pair for bad in violations)
+    condition = next(bad.condition for bad in violations if bad.pair == i)
+    u, v = table.pairs[i]
+    if condition == "coding-eq":
+        raise ProveFailure(
+            FailureStage.CODING_MISMATCH,
+            f"coded words differ on pair ({_show(u)}, {_show(v)}) for symbol {i}",
+        )
+    if condition == "budget":
+        detail = f"pairs expand more than {EXPAND_BUDGET} symbols"
+    else:
+        detail = f"f-image of {_show(u)} does not decompose along g({i}) = {_show(v)}"
+    raise ProveFailure(FailureStage.DECOMPOSITION_STUCK, detail)

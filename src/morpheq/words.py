@@ -65,10 +65,11 @@ READ_SHARE = 64
 # Most symbols Morphism.power writes, summed over the images of f^2, ..., f^k
 # it builds on the way to f^k.
 POWER_LIMIT = 1 << 20
-# Most symbols proofdoc.check_proof expands in all, at about 24 bytes each
-# while their obligation is checked: near 100 MB and 2 s (2 vCPU).  Neither
-# prover builds a table past it; prove writes at most 29,046 in basic mode and
-# 750 in general mode on the fixtures and the decide corpus, seeds 1-3.
+# Most symbols certificate.check_proof expands in all, at about 24 bytes each
+# while their obligation is checked: near 100 MB and 2 s (2 vCPU).  The
+# general prover builds no table past it, and the basic one gives up where the
+# checker would pass it; prove writes at most 29,046 in basic mode and 750 in
+# general mode on the fixtures and the decide corpus, seeds 1-3.
 EXPAND_BUDGET = 1 << 22
 # Longest prefix a FixedPoint expands to and first_mismatch compares.
 # Expansion keeps one byte per symbol it holds, so this bounds the memory of
@@ -482,8 +483,6 @@ def first_mismatch(left: MorphicRep, right: MorphicRep, n: int) -> tuple[int, in
     """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
-    if n > MAX_PREFIX:
-        raise ValueError(f"{n} symbols asked for; at most {MAX_PREFIX} symbols can be compared")
     left_pieces = left.pieces(n)
     right_pieces = right.pieces(n)
     # The current piece of each side, the offset compared up to in each, and

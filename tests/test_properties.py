@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from morpheq.certificate import EqualityProblem, Proof, SafePairTable, check_proof
 from morpheq.formats import parse_problem
-from morpheq.prover import ProveFailure, prove_general
+from morpheq.prover import ProveFailure, prove_basic, prove_general
 from morpheq.repsearch import canonical_form
 from morpheq.spectral import incidence_matrix
 from morpheq.subseq import arith_prefix, block_encode
@@ -256,6 +256,18 @@ class TestProverSoundness:
     def test_every_success_is_checkable_and_true(self, problem):
         try:
             proof = prove_general(problem)
+        except ProveFailure:
+            return
+        assert check_proof(proof).ok
+        left = MorphicRep(problem.f, problem.tau).prefix(10**4)
+        right = MorphicRep(problem.g, problem.rho).prefix(10**4)
+        assert left == right
+
+    @SUITE
+    @given(equality_instances())
+    def test_every_basic_success_is_checkable_and_true(self, problem):
+        try:
+            proof = prove_basic(problem)
         except ProveFailure:
             return
         assert check_proof(proof).ok

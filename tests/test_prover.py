@@ -318,6 +318,38 @@ class TestExpandBudget:
         assert exc.value.detail == f"pairs expand more than {size - 1} symbols"
         assert [v.condition for v in check_proof(proof).violations] == ["budget"]
 
+    @pytest.mark.parametrize("name, budget, u, v", [
+        ("even_fib.txt", 16, "0123", "0122"),
+        ("even_fib.txt", 17, "0123", "0122"),
+        ("even_fib.txt", 33, "0123", "0122"),
+        ("pure_pair.txt", 11, "0210", "0210"),
+        ("pure_pair.txt", 21, "0210", "0210"),
+        ("linear_growth.txt", 6, "012", "012"),
+        ("linear_growth.txt", 11, "012", "012"),
+    ])
+    def test_basic_names_the_checkers_first_violation(self, monkeypatch, name, budget, u, v):
+        # Pair 0's f-image lengths differ, so the checker rejects it before it
+        # counts that image against the budget.
+        monkeypatch.setattr(certificate, "EXPAND_BUDGET", budget)
+        monkeypatch.setattr(prover, "EXPAND_BUDGET", budget)
+        checked = []
+
+        def recording_check(proof):
+            checked.append(proof)
+            return check_proof(proof)
+
+        monkeypatch.setattr(prover, "check_proof", recording_check, raising=False)
+        with pytest.raises(ProveFailure) as exc:
+            prove_basic(parse_problem(read_fixture(name)))
+        assert exc.value.stage is FailureStage.DECOMPOSITION_STUCK
+        assert exc.value.detail == f"f-image of {u} does not decompose along g(0) = {v}"
+        [proof] = checked
+        violations = check_proof(proof).violations
+        lowest = min(x.pair for x in violations)
+        first = next(x for x in violations if x.pair == lowest)
+        assert (first.pair, first.condition) == (0, "f-decomposition")
+        assert proof.table.pairs[0] == (w(u), w(v))
+
 
 class TestProblemValidation:
     def test_coding_sizes_must_match(self):
