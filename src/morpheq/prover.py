@@ -78,22 +78,16 @@ def _show(w: Word) -> str:
         return ",".join(str(s) for s in w)
 
 
-def _read_sizes(max_len: int) -> list[int]:
-    """Read sizes that double from POWER_BYTES symbols up to max_len."""
-    sizes = [min(max_len, POWER_BYTES)]
-    while sizes[-1] < max_len:
-        sizes.append(min(max_len, 2 * sizes[-1]))
-    return sizes
-
-
-def _smallest_safe_cut(fw, gw, flen_of: tuple[int, ...], glen_of: tuple[int, ...]) -> int | None:
-    """Smallest m with |f(fw[:m])| = |g(gw[:m])|, or None; reads fw and gw no further."""
+def _smallest_safe_cut(
+    fw: Word, gw: Word, flen_of: tuple[int, ...], glen_of: tuple[int, ...], start: int, end: int
+) -> int | None:
+    """Smallest m whose m-symbol prefixes u, v of fw[start:end], gw[start:end] have |f(u)| = |g(v)|, or None."""
     flen = glen = 0
-    for m, (x, y) in enumerate(zip(fw, gw), 1):
-        flen += flen_of[x]
-        glen += glen_of[y]
+    for i in range(start, min(end, len(fw), len(gw))):
+        flen += flen_of[fw[i]]
+        glen += glen_of[gw[i]]
         if flen == glen:
-            return m
+            return i + 1 - start
     return None
 
 
@@ -108,9 +102,11 @@ def find_initial_safe_pair(
     """
     _check_pair_len(max_len)
     fp, gp = FixedPoint(f), FixedPoint(g)
-    for size in _read_sizes(max_len):
+    size = 0
+    while size < max_len:
+        size = min(max_len, max(2 * size, POWER_BYTES))
         fw, gw = fp.prefix(size), gp.prefix(size)
-        cut = _smallest_safe_cut(fw, gw, f.image_lengths(), g.image_lengths())
+        cut = _smallest_safe_cut(fw, gw, f.image_lengths(), g.image_lengths(), 0, size)
         if cut is not None:
             return fw[:cut], gw[:cut]
     raise ProveFailure(FailureStage.NO_INITIAL_SAFE_PAIR, f"no safe prefix pair up to length {max_len}")
@@ -131,9 +127,6 @@ def derive_table(
     """
     flen_of = f.image_lengths()
     glen_of = g.image_lengths()
-    # Each cut reads windows of these sizes in turn, so that a short cut
-    # reads few symbols at any max_pair_len.
-    sizes = _read_sizes(config.max_pair_len)
 
     pairs: list[tuple[Word, Word]] = []
     index: dict[tuple[Word, Word], int] = {}
@@ -175,10 +168,7 @@ def derive_table(
         pos = 0
         total = len(fu)
         while pos < total:
-            for size in sizes:
-                cut = _smallest_safe_cut(fu[pos : pos + size], gv[pos : pos + size], flen_of, glen_of)
-                if cut is not None:
-                    break
+            cut = _smallest_safe_cut(fu, gv, flen_of, glen_of, pos, pos + config.max_pair_len)
             if cut is None:
                 raise ProveFailure(
                     FailureStage.DECOMPOSITION_STUCK,

@@ -6,6 +6,10 @@ number, and the terminal summary prints one pass/fail line for each.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -37,6 +41,42 @@ def force_pool(monkeypatch):
 
 def read_fixture(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+# Starts the child and reports its exit code, wall time and peak RSS in KiB.
+# A child's peak RSS counts the pages of the process it was forked from, so
+# the child is forked from this small launcher, not from the test process.
+_LAUNCHER = """
+import os, resource, sys, time
+report, cap, *args = sys.argv[1:]
+resource.setrlimit(resource.RLIMIT_AS, (int(cap), int(cap)))
+start = time.perf_counter()
+pid = os.posix_spawn(sys.executable, [sys.executable, *args], os.environ)
+_, status, usage = os.wait4(pid, 0)
+with open(report, "w") as file:
+    file.write(f"{os.waitstatus_to_exitcode(status)} {time.perf_counter() - start} {usage.ru_maxrss}")
+"""
+
+
+def run_limited(args: list[str], cap: int) -> tuple[subprocess.CompletedProcess, float, float]:
+    """Run the Python interpreter on args in a child process with cap bytes of
+    address space and morpheq's source on its path.
+
+    Returns the completed process with its text output, its wall time in
+    seconds, and its own peak resident set size in MiB, from os.wait4.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "report"
+        launched = subprocess.run(
+            [sys.executable, "-c", _LAUNCHER, str(report), str(cap), *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")},
+        )
+        assert launched.returncode == 0, launched.stderr
+        code, seconds, kib = report.read_text().split()
+    result = subprocess.CompletedProcess(args, int(code), launched.stdout, launched.stderr)
+    return result, float(seconds), int(kib) / 1024
 
 
 # Inputs whose powers pass words.POWER_LIMIT: a 50-byte Fibonacci

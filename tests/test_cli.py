@@ -3,11 +3,8 @@
 import collections
 import hashlib
 import json
-import os
-import resource
 import shutil
 import subprocess
-import sys
 import tracemalloc
 from time import perf_counter
 
@@ -21,7 +18,7 @@ from morpheq.subseq import MAX_COUNT
 from morpheq.words import CHUNK, Coding, Morphism, format_word
 
 import cli_digests
-from conftest import FIB_CERTIFICATE_P34, FIXTURES, UNIFORM_256_512
+from conftest import FIB_CERTIFICATE_P34, FIXTURES, UNIFORM_256_512, run_limited
 
 
 def fixture_path(name: str) -> str:
@@ -152,15 +149,7 @@ class TestProve:
         # capped so that expanding either fails fast.
         problem = tmp_path / "long.txt"
         problem.write_text("2\n0" + "1" * 9999 + "\n" + "1" * 10000 + "\n01\n" + f"2\n{g[0]}\n{g[1]}\n01\n")
-        start = perf_counter()
-        result = subprocess.run(
-            [sys.executable, "-m", "morpheq.cli", "prove", str(problem), *options],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
-        )
-        seconds = perf_counter() - start
+        result, seconds, _ = run_limited(["-m", "morpheq.cli", "prove", str(problem), *options], 1 << 30)
         assert (result.returncode, result.stderr) == (1, "")
         assert result.stdout == f"gave up: {out}: pairs expand more than {1 << 22} symbols\n"
         assert seconds < 1
@@ -173,15 +162,9 @@ class TestProve:
         side = "2\n0" + "1" * 99999 + "\n" + "1" * 100000 + "\n01\n"
         problem = tmp_path / "long.txt"
         problem.write_text(side * 2)
-        start = perf_counter()
-        result = subprocess.run(
-            [sys.executable, "-m", "morpheq.cli", "prove", str(problem), "--max-pair-len", str(MAX_PAIR_LEN)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        result, seconds, _ = run_limited(
+            ["-m", "morpheq.cli", "prove", str(problem), "--max-pair-len", str(MAX_PAIR_LEN)], 1 << 30
         )
-        seconds = perf_counter() - start
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout.endswith("Induction step proved, hence claim proved.\n")
         assert seconds < 8
@@ -219,15 +202,7 @@ class TestCheck:
         # address space is capped so that expanding it fails fast.
         cert = tmp_path / "long.proof"
         cert.write_text("2\n01\n10\n01\n" * 2 + "18 18 general\n1\n" + ("0" * 20000 + "\n") * 2 + "0\n")
-        start = perf_counter()
-        result = subprocess.run(
-            [sys.executable, "-m", "morpheq.cli", "check", str(cert)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
-        )
-        seconds = perf_counter() - start
+        result, seconds, _ = run_limited(["-m", "morpheq.cli", "check", str(cert)], 1 << 30)
         assert (result.returncode, result.stderr) == (1, "")
         assert result.stdout == (
             "violation: f-decomposition on pair 0: f-image does not match the index word\n"

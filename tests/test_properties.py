@@ -2,9 +2,9 @@
 
 The suites cover the word algebra, the incidence-matrix arithmetic, the
 proof checker (differentially against an independent reimplementation of
-its obligations), prover soundness, and the block-encoding construction.
-Alphabets stay at four symbols or fewer and images at three symbols or
-fewer; derandomization keeps every run identical.
+its obligations), prover soundness and its safe-cut scan, and the
+block-encoding construction.  Alphabets stay at four symbols or fewer and
+images at three symbols or fewer; derandomization keeps every run identical.
 """
 
 from dataclasses import replace
@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from morpheq.certificate import EqualityProblem, Proof, SafePairTable, check_proof
 from morpheq.formats import parse_problem
-from morpheq.prover import ProveFailure, prove_basic, prove_general
+from morpheq.prover import ProveFailure, _smallest_safe_cut, prove_basic, prove_general
 from morpheq.repsearch import canonical_form
 from morpheq.spectral import incidence_matrix
 from morpheq.subseq import arith_prefix, block_encode
@@ -250,6 +250,28 @@ def equality_instances(draw):
     return EqualityProblem(f, tau, g, rho)
 
 
+@st.composite
+def safe_cut_scans(draw):
+    """Two words over alphabets of up to three symbols, image lengths for
+    each, and a window that may start past both words."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    flen_of = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    glen_of = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    fw = draw(word_lists(m, max_size=12))
+    gw = draw(word_lists(n, max_size=len(fw)) if draw(st.booleans()) else word_lists(n, max_size=12))
+    start = draw(st.integers(0, max(len(fw), len(gw)) + 2))
+    end = draw(st.integers(start, start + 14))
+    return fw, gw, flen_of, glen_of, start, end
+
+
+def naive_safe_cut(fw, gw, flen_of, glen_of, start, end):
+    u, v = fw[start:end], gw[start:end]
+    for m in range(1, min(len(u), len(v)) + 1):
+        if sum(flen_of[s] for s in u[:m]) == sum(glen_of[s] for s in v[:m]):
+            return m
+    return None
+
+
 class TestProverSoundness:
     @SUITE
     @given(equality_instances())
@@ -274,6 +296,11 @@ class TestProverSoundness:
         left = MorphicRep(problem.f, problem.tau).prefix(10**4)
         right = MorphicRep(problem.g, problem.rho).prefix(10**4)
         assert left == right
+
+    @SUITE
+    @given(safe_cut_scans())
+    def test_scan_matches_the_sliced_reference(self, scan):
+        assert _smallest_safe_cut(*scan) == naive_safe_cut(*scan)
 
 
 @st.composite

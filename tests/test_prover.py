@@ -124,25 +124,31 @@ class TestDeriveTable:
         assert exc.value.detail == "more than 1 safe pairs needed"
 
     def test_doubling_reads_close_the_same_tables(self, monkeypatch):
-        """Read 1, 2, 4, ... symbols at each cut: cuts past the first read are found."""
+        """Read the initial pair's prefixes 1, 2, 4, ... symbols at a time: the same tables close."""
         monkeypatch.setattr(prover, "POWER_BYTES", 1)
         self.test_two_pair_closure()
         self.test_closure_reuses_existing_pairs()
         self.test_coding_mismatch_aborts()
 
     def test_a_cut_reads_few_symbols(self, monkeypatch):
-        """At max_pair_len 10^5, each cut of one symbol reads at most POWER_BYTES."""
-        read = []
+        """At max_pair_len 10^5, each cut of one symbol reads one symbol of each word."""
+        reads = []
+
+        class Counted(tuple):
+            def __getitem__(self, i):
+                reads.append(i)
+                return super().__getitem__(i)
+
         safe_cut = prover._smallest_safe_cut
         monkeypatch.setattr(
-            prover, "_smallest_safe_cut", lambda fw, *args: read.append(len(fw)) or safe_cut(fw, *args)
+            prover, "_smallest_safe_cut", lambda fw, gw, *args: safe_cut(Counted(fw), Counted(gw), *args)
         )
         f = Morphism.from_strings("0" + "1" * 999, "1" * 1000)
         config = ProverConfig(max_pair_len=MAX_PAIR_LEN)
         table = derive_table(f, Coding.identity(2), f, Coding.identity(2), config)
         assert table.pairs == (((0,), (0,)), ((1,), (1,)))
         # The initial pair and 2000 cuts.
-        assert sum(read) <= POWER_BYTES * 2001
+        assert len(reads) == 2 * 2001
 
 
 class TestProveGeneral:

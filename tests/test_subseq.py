@@ -1,10 +1,5 @@
 """Arithmetic subsequences, odd-length powers, and block encodings."""
 
-import os
-import resource
-import subprocess
-import sys
-from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -25,6 +20,8 @@ from morpheq.subseq import (
     odd_length_power,
 )
 from morpheq.words import CHUNK, MAX_PREFIX, Coding, Morphism, MorphicRep, format_word, parse_word
+
+from conftest import run_limited
 
 FIB = Morphism.from_strings("01", "0")
 
@@ -76,13 +73,7 @@ class TestArithPrefix:
             "from morpheq.subseq import arith_prefix\n"
             "print(hashlib.sha256(bytes(arith_prefix(fib_rep(), 0, 100, 10**6))).hexdigest())\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29)),
-        )
+        result, _, _ = run_limited(["-c", code], 1 << 29)
         assert (result.returncode, result.stderr) == (0, "")
         # Recorded from the tuple of all 10^8 symbols, sliced.
         assert result.stdout == "feec176e20fef92381e1ab42021b98c97106bf9eb4c26f7d39c8bd8781968276\n"
