@@ -39,6 +39,13 @@ class ParseError(ValueError):
 MAX_CODEC_ALPHABET = 10
 
 
+def _number(digits: str, lineno: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(lineno, f"number too long to read ({len(digits)} digits)") from None
+
+
 class _Cursor:
     def __init__(self, text: str):
         self.lines = text.split("\n")
@@ -67,7 +74,7 @@ def _parse_count(cursor: _Cursor, what: str) -> int:
     lineno = cursor.pos
     if not is_digits(line):
         raise ParseError(lineno, f"alphabet size must be a number, got {line!r}")
-    n = int(line)
+    n = _number(line, lineno)
     if not 1 <= n <= MAX_CODEC_ALPHABET:
         raise ParseError(lineno, f"alphabet size must be 1..{MAX_CODEC_ALPHABET}, got {n}")
     return n
@@ -147,7 +154,7 @@ def parse_proof(text: str) -> Proof:
         raise ParseError(lineno, "expected 'p q mode'")
     if not (is_digits(parts[0]) and is_digits(parts[1])):
         raise ParseError(lineno, "exponents must be numbers")
-    p, q = int(parts[0]), int(parts[1])
+    p, q = _number(parts[0], lineno), _number(parts[1], lineno)
     if p < 1 or q < 1:
         raise ParseError(lineno, "exponents must be at least 1")
     try:
@@ -157,9 +164,8 @@ def parse_proof(text: str) -> Proof:
 
     count_line = cursor.next("pair count")
     lineno = cursor.pos
-    if not is_digits(count_line) or int(count_line) < 1:
+    if not is_digits(count_line) or (count := _number(count_line, lineno)) < 1:
         raise ParseError(lineno, "pair count must be a positive number")
-    count = int(count_line)
 
     pairs = []
     decomps = []
@@ -171,7 +177,7 @@ def parse_proof(text: str) -> Proof:
         tokens = w_line.split()
         if not all(map(is_digits, tokens)):
             raise ParseError(lineno, "index word must be space-separated numbers")
-        w = tuple(map(int, tokens))
+        w = tuple(_number(t, lineno) for t in tokens)
         if any(j >= count for j in w):
             raise ParseError(lineno, f"index word refers outside the {count} pairs")
         pairs.append((u, v))

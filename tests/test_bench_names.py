@@ -3,12 +3,14 @@
 bench/run.py loads the modules it lists in MODULES into one namespace, m,
 and bench/workloads.py reads names off it as m.<module>.<name> or patches
 them through wrapped(m.<module>, "<name>", ...).  A name moved out of a
-module breaks the benchmark only when it runs, so this test reads both
-files with ast and looks each name up in morpheq.
+module, or a call that no longer fits its callee's parameters, breaks the
+benchmark only when it runs, so this test reads both files with ast, looks
+each name up in morpheq and binds each direct call to its callee.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 BENCH = Path(__file__).parent.parent / "bench"
@@ -69,3 +71,32 @@ def test_every_name_the_benchmark_reads_resolves():
         if not hasattr(importlib.import_module(f"morpheq.{module}"), name)
     )
     assert missing == []
+
+
+def benchmark_calls() -> list[tuple[str, str, int, tuple[str, ...]]]:
+    """Each direct m.<module>.<name>(...) call: module, name, positional count, keywords."""
+    modules = _modules()
+    calls = []
+    for file in ("workloads.py", "run.py"):
+        for node in ast.walk(_parse(file)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                module = _module_of(node.func.value, modules)
+                if module is not None:
+                    assert not any(isinstance(a, ast.Starred) for a in node.args)
+                    keywords = tuple(k.arg for k in node.keywords)
+                    assert None not in keywords
+                    calls.append((module, node.func.attr, len(node.args), keywords))
+    return calls
+
+
+def test_every_call_the_benchmark_makes_binds():
+    calls = benchmark_calls()
+    assert len(calls) >= 29
+    unbound = []
+    for module, name, positional, keywords in calls:
+        callee = getattr(importlib.import_module(f"morpheq.{module}"), name)
+        try:
+            inspect.signature(callee).bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as err:
+            unbound.append(f"{module}.{name}: {err}")
+    assert unbound == []

@@ -91,6 +91,12 @@ class TestProve:
         assert main(["prove", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: line 1:")
 
+    def test_number_too_long_to_read_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "long.txt"
+        bad.write_text("1" * 5000 + "\n01\n0\n01\n")
+        assert main(["prove", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1: number too long to read")
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         assert main(["prove", str(tmp_path / "absent.txt")]) == 2
         assert capsys.readouterr().err.startswith("error:")

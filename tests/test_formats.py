@@ -216,6 +216,20 @@ class TestProofFiles:
             parse_proof("\n".join(lines))
         assert err.value.line == at + 1
 
+    LONG = "1" * 5000  # past the 4300 digits int() converts by default
+
+    @pytest.mark.parametrize(
+        "at, text",
+        [(0, LONG), (9, f"{LONG} 1 general"), (10, LONG), (13, f"0 {LONG}")],
+        ids=["alphabet-size", "exponent", "pair-count", "index-word"],
+    )
+    def test_rejects_numbers_too_long_to_read(self, at, text):
+        lines = serialize_proof(self.proof()).split("\n")
+        lines[at] = text
+        with pytest.raises(ParseError, match="number too long to read") as err:
+            parse_proof("\n".join(lines))
+        assert err.value.line == at + 1
+
     def test_rejects_pair_word_outside_alphabet(self):
         lines = serialize_proof(self.proof()).split("\n")
         lines[11] = "09"

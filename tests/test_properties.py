@@ -1,22 +1,25 @@
 """Randomized invariants: five suites of at least 200 cases each.
 
-The suites cover the word algebra, the incidence-matrix arithmetic, the
-proof checker (differentially against an independent reimplementation of
-its obligations), prover soundness and its safe-cut scan, and the
+The suites cover the word algebra, the incidence-matrix arithmetic and the
+choice of exponents (against a 30-digit decimal reference), the proof
+checker (differentially against an independent reimplementation of its
+obligations), prover soundness and its safe-cut scan, and the
 block-encoding construction.  Alphabets stay at four symbols or fewer and
 images at three symbols or fewer; derandomization keeps every run identical.
 """
 
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from itertools import islice
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from morpheq.certificate import EqualityProblem, Proof, SafePairTable, check_proof
 from morpheq.formats import parse_problem
 from morpheq.prover import ProveFailure, _smallest_safe_cut, prove_basic, prove_general
 from morpheq.repsearch import canonical_form
-from morpheq.spectral import incidence_matrix
+from morpheq.scaling import CANDIDATE_EXPONENTS, DEFAULT_TOLERANCE, equalize
+from morpheq.spectral import estimate_eigenvalue, incidence_matrix
 from morpheq.subseq import arith_prefix, block_encode
 from morpheq.words import Coding, FixedPoint, Morphism, MorphicRep
 
@@ -96,6 +99,21 @@ class TestWordsCore:
         assert coding.apply(u + v) == coding.apply(u) + coding.apply(v)
 
 
+def reference_gaps(f: Morphism, g: Morphism) -> list[tuple[tuple[int, int], Decimal]]:
+    """Every candidate pair, smallest first, with its 30-digit decimal log-space gap."""
+    pairs = sorted(
+        ((p, q) for p in CANDIDATE_EXPONENTS for q in CANDIDATE_EXPONENTS),
+        key=lambda pq: (max(pq), pq[0] + pq[1], pq[0]),
+    )
+    with localcontext() as ctx:
+        ctx.prec = 30
+        log_f, log_g = (
+            (Decimal(est.length_next) / Decimal(est.length_now)).ln()
+            for est in (estimate_eigenvalue(f, 0, 8), estimate_eigenvalue(g, 0, 8))
+        )
+        return [((p, q), abs(p * log_f - q * log_g)) for p, q in pairs]
+
+
 class TestSpectral:
     @SUITE
     @given(morphisms(), st.integers(1, 4))
@@ -115,6 +133,20 @@ class TestSpectral:
     def test_power_lengths_match_the_powers(self, f, k):
         lengths = next(islice(f.power_lengths(), k - 1, None))
         assert lengths == tuple(map(len, f.power(k).images))
+
+    @SUITE
+    @given(morphisms(), morphisms())
+    def test_equalize_matches_the_decimal_reference(self, f, g):
+        gaps = reference_gaps(f, g)
+        tol = Decimal(str(DEFAULT_TOLERANCE))
+        assume(all(abs(gap - tol) > Decimal("1e-9") for _, gap in gaps))
+        expected = next(((pq, gap) for pq, gap in gaps if gap < tol), None)
+        result = equalize(f, g)
+        if expected is None:
+            assert result is None
+        else:
+            assert (result.p, result.q) == expected[0]
+            assert abs(result.achieved_gap - float(expected[1])) < 1e-12
 
 
 def reference_verdict(proof: Proof) -> bool:

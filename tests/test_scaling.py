@@ -2,7 +2,7 @@
 
 import pytest
 
-from morpheq.scaling import CANDIDATE_EXPONENTS, candidate_pairs, equalize
+from morpheq.scaling import CANDIDATE_EXPONENTS, CANDIDATE_PAIRS, equalize
 from morpheq.words import Morphism
 
 FIB = Morphism.from_strings("01", "0")
@@ -10,7 +10,7 @@ THREE_LETTER_G = Morphism.from_strings("02", "021", "102")
 
 
 def test_candidate_order_prefers_small_exponents():
-    pairs = candidate_pairs()
+    pairs = CANDIDATE_PAIRS
     assert pairs[0] == (1, 1)
     assert len(pairs) == len(CANDIDATE_EXPONENTS) ** 2
     maxima = [max(p, q) for p, q in pairs]
