@@ -125,7 +125,7 @@ def _cmd_search(args) -> int:
         target = catalog.builtin_prefix(args.target, args.prefix)
     else:
         text = "".join(_read(args.target).split())
-        if not is_digits(text):
+        if text and not is_digits(text):
             print("target file must contain digits only", file=sys.stderr)
             return 2
         target = parse_word(text[: args.prefix])

@@ -57,9 +57,14 @@ pool would have started.
 A result is reported only when every image was consumed while deriving the
 prefix, i.e. when the match leaves no free choice open.  The walk records it
 as a (complexity, images, coding table) tuple, complexity being the total
-image length.  matches() sorts those in tuple order and checks each distinct
-image and table once, as Morphism and Coding would.  search() builds a
-FoundRep from each of those records, in their order.
+image length.  matches() only sorts those in tuple order.  search() builds a
+FoundRep from each record, in their order, whose Morphism and Coding check
+it once.  No record can fail them.  _fitting draws each symbol from 0..n-1,
+group k - 1 holds images of k >= 1 symbols and roots hold at least 2.  _walk
+records a match only when every image is set; a symbol gets its image only
+at ptr, and at each branch point ptr < len(buf) < N, so each symbol first
+occurs below the prefix, where _fitting gave it the target symbol it lands
+on.  So every table entry is a target symbol, which SearchSpec checked.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .words import ALPHABET_LIMIT, AlphabetError, Coding, FixedPoint, Morphism, Word, check_images, rename_symbols
+from .words import ALPHABET_LIMIT, AlphabetError, Coding, FixedPoint, Morphism, Word, rename_symbols
 
 MAX_ALPHABET = 6
 MAX_IMAGE_LEN = 3
@@ -131,11 +136,6 @@ class FoundRep:
     morphism: Morphism
     coding: Coding
     complexity: int
-
-
-def complexity(f: Morphism) -> int:
-    """Total image length, the size measure results are ranked by."""
-    return sum(len(im) for im in f.images)
 
 
 # A candidate image that fits the target where it lands: the image, the
@@ -402,13 +402,7 @@ def _chunks(spec: SearchSpec) -> Iterator[list[Match]]:
 
 def matches(spec: SearchSpec) -> list[Match]:
     """All matches of the target prefix, exhaustively, sorted, as plain records."""
-    found = sorted(itertools.chain.from_iterable(_chunks(spec)))
-    # Every match has spec.alphabet_size images, so column a holds the images of a.
-    columns = enumerate(zip(*(images for _, images, _ in found)))
-    check_images(((a, image) for a, column in columns for image in set(column)), spec.alphabet_size)
-    for table in {table for _, _, table in found}:
-        Coding(table, max(spec.target[: spec.prefix_len]) + 1)
-    return found
+    return sorted(itertools.chain.from_iterable(_chunks(spec)))
 
 
 def search(spec: SearchSpec) -> list[FoundRep]:

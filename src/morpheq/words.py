@@ -39,7 +39,7 @@ powers over POWER_LIMIT with PowerLimitError.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -121,17 +121,6 @@ def parse_word(text: str) -> Word:
     return tuple(int(c) for c in text)
 
 
-def check_images(images: Iterable[tuple[int, Word]], n: int) -> None:
-    """Raise what Morphism raises at the first (a, image) pair whose image of
-    a is empty or leaves the n symbols."""
-    for a, image in images:
-        if len(image) == 0:
-            raise ValueError(f"image of {a} is empty")
-        for s in image:
-            if not 0 <= s < n:
-                raise AlphabetError(f"image of {a} uses symbol {s} outside 0..{n - 1}")
-
-
 def format_word(w: Word) -> str:
     """Render a word as a digit string; requires symbols below 10."""
     if any(s > 9 for s in w):
@@ -150,7 +139,12 @@ class Morphism:
         n = len(self.images)
         if n == 0:
             raise ValueError("morphism needs at least one symbol")
-        check_images(enumerate(self.images), n)
+        for a, image in enumerate(self.images):
+            if len(image) == 0:
+                raise ValueError(f"image of {a} is empty")
+            for s in image:
+                if not 0 <= s < n:
+                    raise AlphabetError(f"image of {a} uses symbol {s} outside 0..{n - 1}")
 
     @classmethod
     def from_strings(cls, *images: str) -> Morphism:

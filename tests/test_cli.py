@@ -464,9 +464,10 @@ class TestSearch:
         assert keys == sorted(keys)
 
     def test_prints_results_without_a_morphism_or_foundrep_each(self, monkeypatch, capsys):
-        """At most one Morphism per distinct image word, and no FoundRep."""
+        """At most one Morphism per distinct image word, no FoundRep, and no
+        Coding but the builtin's identity coding."""
         built = collections.Counter()
-        for cls in (Morphism, FoundRep):
+        for cls in (Morphism, FoundRep, Coding):
             monkeypatch.setattr(cls, "__init__", counted(cls.__init__, cls.__name__, built))
         code = main(["search", "--target", "fib", "--alphabet", "5", "--maxlen", "3", "--prefix", "60"])
         assert code == 0
@@ -474,6 +475,7 @@ class TestSearch:
         words = {word for block in blocks for word in block.split("\n")[2:7]}
         assert (len(blocks), len(words)) == (21174, 127)
         assert built["FoundRep"] == 0 and built["Morphism"] <= len(words)
+        assert built["Coding"] <= 1
 
     def test_rejects_non_digit_target_file(self, capsys, tmp_path):
         target = tmp_path / "junk.digits"
@@ -483,6 +485,16 @@ class TestSearch:
         )
         assert code == 2
         assert "digits only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", " \n\t\n"])
+    def test_empty_target_file_is_too_short(self, capsys, tmp_path, text):
+        target = tmp_path / "empty.digits"
+        target.write_text(text)
+        code = main(
+            ["search", "--target", str(target), "--alphabet", "2", "--maxlen", "2", "--prefix", "2"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: target word is shorter than the requested prefix\n"
 
     def test_builtin_prefix_is_bounded(self, capsys):
         start = perf_counter()
